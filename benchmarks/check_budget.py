@@ -25,6 +25,12 @@ noise slack.  Finally, ``tracing_point.off_wall_seconds`` gets a *tight*
 1.05x factor: tracing disabled (``REPRO_TRACE=0``, the default) must
 cost nothing, so even a small regression on that field fails CI.
 
+Every budgeted wall field must exist on *both* sides: a field missing
+from the committed baseline fails the check (re-commit
+``BENCH_smoke.json`` from a fresh ``benchmarks/smoke.py`` run), so a new
+smoke point can never go unbudgeted, and a field missing from the fresh
+run fails too.
+
 Usage::
 
     python benchmarks/check_budget.py committed.json fresh.json
@@ -93,15 +99,24 @@ def _dig(payload: dict, dotted: str):
     return node
 
 
+def _missing(field: str, base, now) -> str | None:
+    if base is None:
+        return (f"{field}: no committed baseline (re-commit "
+                f"BENCH_smoke.json from a fresh benchmarks/smoke.py run)")
+    if now is None:
+        return f"{field}: missing from the fresh run"
+    return None
+
+
 def check(committed: dict, fresh: dict, factor: float) -> list[str]:
     """Returns a list of human-readable budget violations."""
     failures = []
     for field in TRACKED_FIELDS:
         base = _dig(committed, field)
         now = _dig(fresh, field)
-        if base is None or now is None:
-            # a point only one side knows about is not a regression
-            # (e.g. comparing across a PR that adds a new smoke point)
+        missing = _missing(field, base, now)
+        if missing is not None:
+            failures.append(missing)
             continue
         if now > base * factor + ABS_SLACK_SECONDS:
             failures.append(
@@ -127,7 +142,9 @@ def check(committed: dict, fresh: dict, factor: float) -> list[str]:
     for field, tight in TIGHT_FACTOR_FIELDS.items():
         base = _dig(committed, field)
         now = _dig(fresh, field)
-        if base is None or now is None:
+        missing = _missing(field, base, now)
+        if missing is not None:
+            failures.append(missing)
             continue
         if now > base * tight + ABS_SLACK_SECONDS:
             failures.append(

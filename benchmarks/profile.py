@@ -74,14 +74,15 @@ def run_cluster() -> None:
 
 def run_traffic() -> None:
     from repro.cluster import make_cluster_platform
-    from repro.cluster.driver import StreamSpec, TrafficDriver
+    from repro.serve import ArrivalSpec, BatchPolicy, TenantSpec, serve
 
     platform = make_cluster_platform(num_devices=2, placement="interleaved",
                                      backend="batched")
-    driver = TrafficDriver(platform, [
-        StreamSpec("profile", "vecadd", rate_rps=2e5, requests=100),
-    ])
-    driver.run()
+    serve(platform, [
+        TenantSpec("profile", "vecadd",
+                   arrivals=ArrivalSpec("poisson", rate_rps=2e5,
+                                        requests=100)),
+    ], scheduler="fifo", batch=BatchPolicy(max_batch=1))
 
 
 def run_fig10a() -> None:

@@ -10,9 +10,9 @@ batching + the point engine's trie replay vs the unbatched
 interpreter, gated >5x and byte-identical), one
 cluster point (2-device interleaved vecadd vs 1 device), one
 repeated-launch traffic point (100 open-loop vecadd requests through the
-cluster — the trace cache's home turf), and one serving point (two
-tenants through the SLO-aware serving engine, dynamic batching vs
-unbatched FIFO), then writes ``BENCH_smoke.json`` with simulated
+serving engine, FIFO and unbatched — the trace cache's home turf),
+and one serving point (two tenants through the SLO-aware serving
+engine, dynamic batching vs unbatched FIFO), then writes ``BENCH_smoke.json`` with simulated
 results, wall-clock times, trace-cache hit/miss counters and the
 ``exec.fallback_reason.<class>`` attribution, plus
 ``BENCH_serving_tenants.json`` with the per-tenant latency summary CI
@@ -42,7 +42,6 @@ from repro import obs
 from repro.cluster import make_cluster_platform
 from repro.obs.incidents import grade_against_plan
 from repro.obs.monitor import DEFAULT_MONITOR_INTERVAL_NS
-from repro.cluster.driver import StreamSpec, TrafficDriver
 from repro.experiments.fig05 import run_fig5
 from repro.experiments.partitioning import (
     PARTITION_SPEC,
@@ -324,17 +323,20 @@ def bench_cluster_point(elements: int = CLUSTER_SMOKE_ELEMENTS) -> dict:
 def bench_traffic_point(requests: int = TRAFFIC_SMOKE_REQUESTS) -> dict:
     """Repeated-launch point: 100 open-loop vecadd requests, 2 devices.
 
-    Requests cycle through 8 working-set slices, so after the first pass
-    every launch shape is already traced — the wall-clock of this point
-    tracks the trace cache's replay path.
+    Requests cycle through 8 working-set slices and dispatch one per
+    launch (FIFO, ``max_batch=1``), so after the first pass every launch
+    shape is already traced — the wall-clock of this point tracks the
+    trace cache's replay path.
     """
     plat = make_cluster_platform(num_devices=2, placement="interleaved",
                                  backend="batched")
-    driver = TrafficDriver(plat, [
-        StreamSpec("smoke", "vecadd", rate_rps=2e5, requests=requests),
-    ])
+    engine = ServingEngine(plat, [
+        TenantSpec("smoke", "vecadd",
+                   arrivals=ArrivalSpec("poisson", rate_rps=2e5,
+                                        requests=requests)),
+    ], scheduler="fifo", batch=BatchPolicy(max_batch=1))
     start = time.perf_counter()
-    report = driver.run()
+    report = engine.run()
     wall = time.perf_counter() - start
     return {
         "requests": requests,

@@ -2,9 +2,10 @@
 
 Where ``test_bench_fig12_ablation_scaling.py`` checks the *analytic*
 multi-device model, this drives the real :mod:`repro.cluster` stack —
-N devices behind the switch, sharded allocation, fan-out scheduling, the
-open-loop traffic driver — and checks the scaling trend (paper:
-6.45-7.84x at 8 devices) plus the placement x scheduler policy matrix.
+N devices behind the switch, sharded allocation, fan-out scheduling,
+open-loop tenants through the serving engine — and checks the scaling
+trend (paper: 6.45-7.84x at 8 devices) plus the placement x scheduler
+policy matrix.
 """
 
 from repro.experiments.scaling import run_policy_matrix, run_scaling

@@ -9,9 +9,10 @@ Wires N :class:`~repro.ndp.device.M2NDPDevice` expanders behind one
   locality, least-outstanding) splitting logical launches into per-device
   sub-launches;
 - :mod:`repro.cluster.runtime` — the :class:`ClusterRuntime` facade
-  mirroring ``M2NDPRuntime`` so workloads run unmodified on 1..N devices;
-- :mod:`repro.cluster.driver` — a multi-tenant open-loop traffic driver
-  reporting p50/p95/p99 latency and aggregate throughput.
+  mirroring ``M2NDPRuntime`` so workloads run unmodified on 1..N devices.
+
+Open-loop request traffic against a cluster (latency percentiles,
+aggregate throughput) goes through :class:`repro.serve.ServingEngine`.
 """
 
 from repro.cluster.placement import (

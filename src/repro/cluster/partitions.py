@@ -175,14 +175,6 @@ class PartitionMap:
     def index_of(self, name: str) -> int:
         return self.share(name).index
 
-    def by_index(self, index: int) -> PartitionShare:
-        if not 0 <= index < len(self.shares):
-            raise ConfigError(
-                f"partition index {index} out of range "
-                f"(device has {len(self.shares)} partitions)"
-            )
-        return self.shares[index]
-
     @property
     def default(self) -> PartitionShare:
         """Where untagged launches land on a partitioned device."""

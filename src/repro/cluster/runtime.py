@@ -153,10 +153,6 @@ class ClusterLaunchHandle:
     def finished(self) -> bool:
         return self.complete_ns is not None
 
-    @property
-    def num_sublaunches(self) -> int:
-        return len(self.plan)
-
     def on_complete(self, callback) -> None:
         if self.finished:
             callback(self)

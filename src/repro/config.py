@@ -7,6 +7,7 @@ nanoseconds, all frequencies GHz, all bandwidths bytes/ns (== GB/s).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigError
@@ -14,6 +15,24 @@ from repro.errors import ConfigError
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
+
+
+def env_flag(name: str, default: bool) -> bool:
+    """Read a boolean ``REPRO_*`` switch from the environment.
+
+    The only accepted values are ``"0"`` and ``"1"``; anything else
+    (``false``, ``yes``, ``""``) raises :class:`ConfigError` naming the
+    variable instead of silently picking a side.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if raw not in ("0", "1"):
+        raise ConfigError(
+            f"{name} must be '0' or '1', got {raw!r} "
+            f"(from {name} environment variable)"
+        )
+    return raw == "1"
 
 
 # ---------------------------------------------------------------------------

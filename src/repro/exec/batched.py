@@ -57,10 +57,10 @@ small launches go back to the interpreter).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+from repro.config import env_flag
 from repro.exec.base import register_backend
 from repro.exec.interpreter import InterpreterBackend
 from repro.exec.point import attempt_point
@@ -683,8 +683,8 @@ class BatchedBackend(InterpreterBackend):
     def __init__(self, device) -> None:
         super().__init__(device)
         self.trace_cache = TraceCache.from_env()
-        self.simt_enabled = os.environ.get("REPRO_SIMT", "1") != "0"
-        self.point_enabled = os.environ.get("REPRO_POINT", "1") != "0"
+        self.simt_enabled = env_flag("REPRO_SIMT", True)
+        self.point_enabled = env_flag("REPRO_POINT", True)
 
     # ------------------------------------------------------------------
 

@@ -55,6 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import env_flag
+from repro.errors import ConfigError
 from repro.isa.encoding import FUnit
 
 #: Default number of cached launch shapes kept per device.
@@ -163,18 +165,6 @@ class PointPathEntry:
     lat_sum: float = 0.0
     #: successful replays so far (observability: per-path popularity)
     replays: int = 0
-
-    @property
-    def verify_bytes(self) -> int:
-        """Total load bytes the replay re-checks (observability)."""
-        total = 0
-        for step in self.steps:
-            if step[0] != "mem":
-                continue
-            for access in step[2]:
-                if access[0] == "ld" and access[5] is not None:
-                    total += len(access[5])
-        return total
 
 
 class PointTrieNode:
@@ -334,12 +324,21 @@ class TraceCache:
 
     @classmethod
     def from_env(cls) -> "TraceCache":
-        enabled = os.environ.get("REPRO_TRACE_CACHE", "1") != "0"
-        capacity = int(os.environ.get("REPRO_TRACE_CACHE_CAPACITY",
-                                      DEFAULT_CAPACITY))
-        generalize = os.environ.get("REPRO_TRACE_CACHE_GENERALIZE",
-                                    "1") != "0"
-        return cls(enabled=enabled, capacity=capacity, generalize=generalize)
+        raw = os.environ.get("REPRO_TRACE_CACHE_CAPACITY")
+        capacity = DEFAULT_CAPACITY
+        if raw is not None:
+            try:
+                capacity = int(raw)
+            except ValueError:
+                capacity = 0          # not an integer: rejected below
+            if capacity < 1:
+                raise ConfigError(
+                    f"REPRO_TRACE_CACHE_CAPACITY must be an integer >= 1, "
+                    f"got {raw!r}"
+                )
+        return cls(enabled=env_flag("REPRO_TRACE_CACHE", True),
+                   capacity=capacity,
+                   generalize=env_flag("REPRO_TRACE_CACHE_GENERALIZE", True))
 
     def __len__(self) -> int:
         return len(self._entries)

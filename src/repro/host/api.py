@@ -122,10 +122,6 @@ class HDMAllocator:
         self.device.dram_tlb.warm_range(self.asid, addr, size, table)
         return addr
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._cursor - HDM_HEAP_BASE
-
 
 def pack_args(*values: int) -> bytes:
     """Pack kernel arguments as little-endian u64 words."""

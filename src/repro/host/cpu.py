@@ -45,11 +45,6 @@ class MemoryTarget:
     bandwidth_bytes_per_ns: float     # ceiling (link or DRAM)
 
     @classmethod
-    def local_dram(cls, bandwidth: float = 409.6,
-                   latency_ns: float = 75.0) -> "MemoryTarget":
-        return cls("local", latency_ns, bandwidth)
-
-    @classmethod
     def cxl(cls, config: CXLConfig | None = None) -> "MemoryTarget":
         cfg = config if config is not None else CXLConfig()
         return cls("cxl", cfg.load_to_use_ns, cfg.bw_per_dir_bytes_per_ns)

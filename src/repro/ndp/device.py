@@ -161,11 +161,6 @@ class M2NDPDevice:
         self.partitions = parts
         self.partition_map = pmap
 
-    def partition_by_index(self, index: int) -> DevicePartition | None:
-        if self.partitions is None or not 0 <= index < len(self.partitions):
-            return None
-        return self.partitions[index]
-
     # ------------------------------------------------------------------
     # memory-system services shared by the units
     # ------------------------------------------------------------------
@@ -361,9 +356,6 @@ class M2NDPDevice:
     # ------------------------------------------------------------------
     # introspection helpers for experiments
     # ------------------------------------------------------------------
-
-    def dram_utilization(self, elapsed_ns: float) -> float:
-        return self.dram.utilization(elapsed_ns)
 
     def total_active_ratio_series(self, start_ns: float, end_ns: float,
                                   steps: int = 50) -> list[tuple[float, float]]:

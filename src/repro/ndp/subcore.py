@@ -59,7 +59,3 @@ class SubCore:
         fu.ops_issued += 1
         self.instructions_issued += 1
         return start, start + inst.latency_cycles * self.period_ns
-
-    def utilization_ns(self) -> float:
-        """Busy time proxy: dispatch server occupancy end."""
-        return self.dispatch.busy_until

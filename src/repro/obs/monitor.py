@@ -39,6 +39,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from repro.config import env_flag
 from repro.errors import ConfigError
 from repro.sim.stats import StatsRegistry, percentile
 
@@ -69,13 +70,7 @@ def resolve_monitoring(explicit: bool | None) -> bool:
     """Explicit argument > REPRO_MONITOR env > default (on)."""
     if explicit is not None:
         return bool(explicit)
-    raw = os.environ.get("REPRO_MONITOR", "1")
-    if raw not in ("0", "1"):
-        raise ConfigError(
-            f"REPRO_MONITOR must be '0' or '1', got {raw!r} "
-            f"(from REPRO_MONITOR environment variable)"
-        )
-    return raw == "1"
+    return env_flag("REPRO_MONITOR", True)
 
 
 def resolve_burn_threshold(explicit: float | None) -> float:

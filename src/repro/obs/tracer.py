@@ -40,10 +40,9 @@ accepts only ``0`` or ``1``; anything else raises
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-from repro.errors import ConfigError
+from repro.config import env_flag
 
 #: pid of the serving/cluster host process in exported traces; devices
 #: are pid ``1 + device_index`` (``M2NDPDevice.trace_pid``).
@@ -51,13 +50,7 @@ HOST_PID = 0
 
 
 def _env_enabled() -> bool:
-    raw = os.environ.get("REPRO_TRACE", "0")
-    if raw not in ("0", "1"):
-        raise ConfigError(
-            f"REPRO_TRACE must be '0' or '1', got {raw!r} "
-            f"(from REPRO_TRACE environment variable)"
-        )
-    return raw == "1"
+    return env_flag("REPRO_TRACE", False)
 
 
 #: Module-level enabled flag.  Hot paths read this attribute directly;
@@ -231,12 +224,6 @@ class Tracer:
     def roots(self) -> list[Span]:
         self.finalize()
         return [s for s in self.spans.values() if s.parent_id is None]
-
-    def children_of(self, span_id: int) -> list[Span]:
-        self.finalize()
-        return sorted((s for s in self.spans.values()
-                       if s.parent_id == span_id),
-                      key=lambda s: (s.start_ns, s.span_id))
 
     def aggregates(self) -> dict[str, dict[str, float]]:
         """Per-name count / total / self-time rollup (for manifests)."""

@@ -5,11 +5,10 @@ what work each request does (``kind``), how requests arrive
 (:class:`~repro.serve.arrivals.ArrivalSpec`), the latency class and WFQ
 weight, the SLO, and the admission limits.  :class:`TenantWorkload`
 materializes the tenant's data in cluster HDM and turns (slice-range)
-requests into concrete kernel launches, mirroring the per-kind setup the
-single-purpose traffic driver uses — but exposing *range* launches so the
+requests into concrete kernel launches, exposing *range* launches so the
 dynamic batcher can fuse contiguous slices into one launch.
 
-Request kinds (same trio as the cluster traffic driver):
+Request kinds:
 
 ``vecadd``  bandwidth-bound batched vector jobs; slices of C = A + B.
 ``olap``    column-scan analytics; slices of a predicate mask sweep.
@@ -39,12 +38,12 @@ tenant's timing.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.config import env_flag
 from repro.errors import ConfigError
 from repro.host.api import pack_args
 from repro.kernels.kvstore import (
@@ -309,9 +308,7 @@ class TenantWorkload:
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
-        self._scatter_enabled = (
-            os.environ.get("REPRO_SERVE_SCATTER_BATCH", "1") != "0"
-        )
+        self._scatter_enabled = env_flag("REPRO_SERVE_SCATTER_BATCH", True)
         if self._scatter_enabled:
             self.scatter_kid = self.runtime.register_kernel(
                 KVS_GET_SCATTER, name=f"{self.spec.name}.get_scatter"

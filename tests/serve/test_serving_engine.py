@@ -49,6 +49,10 @@ class TestServingRun:
         platform = make_cluster_platform(num_devices=2, backend="batched")
         report = ServingEngine(platform, _mixed_tenants()).run()
         assert report.p50_ns <= report.p95_ns <= report.p99_ns
+        for tenant in report.tenants:
+            assert tenant.p50_ns <= tenant.p95_ns <= tenant.p99_ns
+            assert tenant.span_ns > 0
+            assert tenant.throughput_rps > 0
         kv = report.tenant("kv")
         assert 0.0 <= kv.slo_attainment <= 1.0
         assert kv.goodput_rps <= kv.throughput_rps + 1e-9
@@ -119,6 +123,51 @@ class TestServingRun:
         engine.run()
         with pytest.raises(ConfigError):
             engine.run()
+
+
+#: Cluster-traffic shape: every arrival is its own launch, dispatched in
+#: arrival order, with no admission gates (the TenantSpec defaults).
+_UNBATCHED_FIFO = dict(scheduler="fifo", batch=BatchPolicy(max_batch=1))
+
+
+class TestOpenLoopCluster:
+    def test_open_loop_backlog_raises_latency(self):
+        # same work at 1000x the arrival rate: queueing must show in p95
+        def run(rate):
+            platform = make_cluster_platform(num_devices=1,
+                                             backend="batched")
+            return ServingEngine(platform, [
+                TenantSpec("scan", "olap",
+                           arrivals=ArrivalSpec("poisson", rate_rps=rate,
+                                                requests=16),
+                           size=1 << 15, slices=4),
+            ], **_UNBATCHED_FIFO).run()
+        relaxed = run(1e4)
+        slammed = run(1e7)
+        assert slammed.p95_ns > 2 * relaxed.p95_ns
+
+    @staticmethod
+    def _throughputs(num_devices):
+        platform = make_cluster_platform(num_devices=num_devices,
+                                         placement="interleaved",
+                                         backend="batched")
+        arrivals = ArrivalSpec("poisson", rate_rps=1e7, requests=8)
+        report = ServingEngine(platform, [
+            TenantSpec("vec", "vecadd", arrivals=arrivals,
+                       size=1 << 16, slices=8),
+            TenantSpec("olap", "olap", arrivals=arrivals,
+                       size=1 << 16, slices=8),
+        ], **_UNBATCHED_FIFO).run()
+        assert report.correct
+        return (report.tenant("vec").throughput_rps,
+                report.tenant("olap").throughput_rps)
+
+    def test_four_devices_at_least_3x(self):
+        # 4 interleaved devices reach >= 3x the single-device throughput
+        vec_1, olap_1 = self._throughputs(1)
+        vec_4, olap_4 = self._throughputs(4)
+        assert vec_4 / vec_1 >= 3.0
+        assert olap_4 / olap_1 >= 3.0
 
 
 class TestBatchingEquivalence:

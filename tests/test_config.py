@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import make_cluster_platform
 from repro.config import (
     CPUConfig,
     CXLConfig,
@@ -11,6 +12,7 @@ from repro.config import (
     cpu_ndp_config,
     ddr5_host_dram,
     default_system,
+    env_flag,
     gpu_ndp_config,
     hbm2_gpu_dram,
     lpddr5_cxl_dram,
@@ -18,6 +20,11 @@ from repro.config import (
     ndp_l1d_config,
 )
 from repro.errors import ConfigError
+from repro.exec.trace_cache import TraceCache
+from repro.obs import tracer
+from repro.obs.monitor import resolve_monitoring
+from repro.serve import ServingEngine, TenantSpec
+from repro.workloads.base import make_platform
 
 
 class TestDRAMPresets:
@@ -118,3 +125,65 @@ class TestSystemConfig:
         system = default_system()
         with pytest.raises(Exception):
             system.cxl.load_to_use_ns = 999.0
+
+
+def _build_batched_device():
+    make_platform(backend="batched")
+
+
+def _build_kvstore_tenant():
+    platform = make_cluster_platform(num_devices=1, backend="batched")
+    ServingEngine(platform, [TenantSpec("kv", "kvstore", size=64)],
+                  monitoring=False)
+
+
+def _resolve_monitoring():
+    resolve_monitoring(None)
+
+
+def _resolve_tracing():
+    tracer._env_enabled()
+
+
+#: Every boolean ``REPRO_*`` switch, with the call that reads it.
+BOOLEAN_FLAGS = [
+    ("REPRO_SIMT", _build_batched_device),
+    ("REPRO_POINT", _build_batched_device),
+    ("REPRO_TRACE_CACHE", _build_batched_device),
+    ("REPRO_TRACE_CACHE_GENERALIZE", _build_batched_device),
+    ("REPRO_SERVE_SCATTER_BATCH", _build_kvstore_tenant),
+    ("REPRO_MONITOR", _resolve_monitoring),
+    ("REPRO_TRACE", _resolve_tracing),
+]
+
+
+class TestEnvFlags:
+    @pytest.mark.parametrize("name,read", BOOLEAN_FLAGS,
+                             ids=[name for name, _ in BOOLEAN_FLAGS])
+    def test_flag_accepts_only_zero_or_one(self, monkeypatch, name, read):
+        for good in ("0", "1"):
+            monkeypatch.setenv(name, good)
+            read()
+        for bad in ("false", "yes", ""):
+            monkeypatch.setenv(name, bad)
+            with pytest.raises(ConfigError, match=name):
+                read()
+
+    def test_env_flag_default_and_values(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIMT", raising=False)
+        assert env_flag("REPRO_SIMT", True) is True
+        assert env_flag("REPRO_SIMT", False) is False
+        monkeypatch.setenv("REPRO_SIMT", "0")
+        assert env_flag("REPRO_SIMT", True) is False
+        monkeypatch.setenv("REPRO_SIMT", "1")
+        assert env_flag("REPRO_SIMT", False) is True
+
+    def test_trace_cache_capacity_must_be_positive_integer(self,
+                                                            monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE_CAPACITY", "2")
+        assert TraceCache.from_env().capacity == 2
+        for bad in ("abc", "0"):
+            monkeypatch.setenv("REPRO_TRACE_CACHE_CAPACITY", bad)
+            with pytest.raises(ConfigError,
+                               match="REPRO_TRACE_CACHE_CAPACITY"):
+                TraceCache.from_env()
