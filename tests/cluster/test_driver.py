@@ -1,83 +1,83 @@
-"""Multi-tenant traffic driver: correctness, percentiles, scaling."""
+"""Multi-tenant cluster traffic: correctness, percentiles, validation.
+
+Cluster traffic runs through ``ServingEngine`` in its open-loop cluster
+shape: FIFO dispatch, one launch per arrival, no admission gates.
+"""
 
 import pytest
 
 from repro.cluster import make_cluster_platform
-from repro.cluster.driver import StreamSpec, TrafficDriver
+from repro.config import ClusterConfig
 from repro.errors import ConfigError
+from repro.serve import ArrivalSpec, BatchPolicy, ServingEngine, TenantSpec
+
+_UNBATCHED_FIFO = dict(scheduler="fifo", batch=BatchPolicy(max_batch=1))
+
+
+def _stream(name, kind, rate_rps, requests, **kwargs):
+    return TenantSpec(name, kind,
+                      arrivals=ArrivalSpec("poisson", rate_rps=rate_rps,
+                                           requests=requests),
+                      **kwargs)
 
 
 def _mixed_specs(requests=60):
     return [
-        StreamSpec("kv", "kvstore", rate_rps=4e6, requests=requests,
-                   size=512),
-        StreamSpec("scan", "olap", rate_rps=1e6, requests=max(8, requests // 6),
-                   size=1 << 13),
-        StreamSpec("batch", "vecadd", rate_rps=1e6,
-                   requests=max(8, requests // 6), size=1 << 12),
+        _stream("kv", "kvstore", 4e6, requests, size=512),
+        _stream("scan", "olap", 1e6, max(8, requests // 6), size=1 << 13),
+        _stream("batch", "vecadd", 1e6, max(8, requests // 6), size=1 << 12),
     ]
+
+
+def _run(platform, specs):
+    return ServingEngine(platform, specs, **_UNBATCHED_FIFO).run()
 
 
 class TestMultiTenantRun:
     def test_all_streams_served_and_correct(self):
         platform = make_cluster_platform(num_devices=2, backend="batched")
-        driver = TrafficDriver(platform, _mixed_specs())
-        report = driver.run()
+        report = _run(platform, _mixed_specs())
         assert report.correct
-        for stream, spec in zip(report.streams, _mixed_specs()):
-            assert stream.served == spec.requests
-        assert report.served == sum(s.requests for s in _mixed_specs())
+        for tenant, spec in zip(report.tenants, _mixed_specs()):
+            assert tenant.served == spec.arrivals.requests
+        assert report.served == sum(s.arrivals.requests
+                                    for s in _mixed_specs())
 
     def test_percentiles_ordered(self):
         platform = make_cluster_platform(num_devices=2, backend="batched")
-        report = TrafficDriver(platform, _mixed_specs()).run()
+        report = _run(platform, _mixed_specs())
         assert report.p50_ns <= report.p95_ns <= report.p99_ns
-        for stream in report.streams:
-            assert stream.p50_ns <= stream.p95_ns <= stream.p99_ns
-            assert stream.span_ns > 0
-            assert stream.throughput_rps > 0
+        for tenant in report.tenants:
+            assert tenant.p50_ns <= tenant.p95_ns <= tenant.p99_ns
+            assert tenant.span_ns > 0
+            assert tenant.throughput_rps > 0
 
     def test_render_mentions_every_stream(self):
         platform = make_cluster_platform(num_devices=2, backend="batched")
-        report = TrafficDriver(platform, _mixed_specs(requests=30)).run()
+        report = _run(platform, _mixed_specs(requests=30))
         text = report.render()
-        for stream in report.streams:
-            assert stream.name in text
+        for tenant in report.tenants:
+            assert tenant.name in text
         assert "aggregate" in text
-
-    def test_open_loop_backlog_raises_latency(self):
-        # same work at 1000x the arrival rate: queueing must show in p95
-        def run(rate):
-            platform = make_cluster_platform(num_devices=1,
-                                             backend="batched")
-            spec = StreamSpec("scan", "olap", rate_rps=rate, requests=16,
-                              size=1 << 15, slices=4)
-            return TrafficDriver(platform, [spec]).run()
-        relaxed = run(1e4)
-        slammed = run(1e7)
-        assert slammed.p95_ns > 2 * relaxed.p95_ns
 
     def test_deterministic_across_runs(self):
         def run():
             platform = make_cluster_platform(num_devices=2,
                                              backend="batched")
-            return TrafficDriver(platform, _mixed_specs(requests=30)).run()
+            return _run(platform, _mixed_specs(requests=30))
         first, second = run(), run()
         assert first.aggregate.samples == second.aggregate.samples
 
     def test_config_seed_changes_traffic(self):
-        # arrivals and stream data both derive from ClusterConfig.seed
-        from repro.config import ClusterConfig
-
+        # arrivals and tenant data both derive from ClusterConfig.seed
         def run(seed):
             platform = make_cluster_platform(
                 num_devices=2,
                 cluster=ClusterConfig(num_devices=2, seed=seed),
                 backend="batched",
             )
-            specs = [StreamSpec("vec", "vecadd", rate_rps=1e6, requests=12,
-                                size=1 << 10)]
-            return TrafficDriver(platform, specs).run()
+            return _run(platform, [_stream("vec", "vecadd", 1e6, 12,
+                                           size=1 << 10)])
         assert run(1).aggregate.samples != run(2).aggregate.samples
         assert run(3).aggregate.samples == run(3).aggregate.samples
 
@@ -85,48 +85,20 @@ class TestMultiTenantRun:
 class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            StreamSpec("s", "graphql", rate_rps=1.0, requests=1)
+            _stream("s", "graphql", 1.0, 1)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ConfigError):
-            StreamSpec("s", "olap", rate_rps=0.0, requests=1)
+            _stream("s", "olap", 0.0, 1)
 
     def test_duplicate_stream_names_rejected(self):
         platform = make_cluster_platform(num_devices=1, backend="batched")
-        specs = [StreamSpec("same", "olap", rate_rps=1e5, requests=2),
-                 StreamSpec("same", "vecadd", rate_rps=1e5, requests=2)]
+        specs = [_stream("same", "olap", 1e5, 2),
+                 _stream("same", "vecadd", 1e5, 2)]
         with pytest.raises(ConfigError):
-            TrafficDriver(platform, specs)
+            ServingEngine(platform, specs, **_UNBATCHED_FIFO)
 
     def test_empty_specs_rejected(self):
         platform = make_cluster_platform(num_devices=1, backend="batched")
         with pytest.raises(ConfigError):
-            TrafficDriver(platform, [])
-
-
-class TestScaling:
-    """Acceptance: 4 interleaved devices reach >= 3x the single-device
-    aggregate throughput on the vecadd and OLAP-scan drivers."""
-
-    @staticmethod
-    def _throughputs(num_devices):
-        platform = make_cluster_platform(num_devices=num_devices,
-                                         placement="interleaved",
-                                         backend="batched")
-        driver = TrafficDriver(platform, [
-            StreamSpec("vec", "vecadd", rate_rps=1e7, requests=8,
-                       size=1 << 16, slices=8),
-            StreamSpec("olap", "olap", rate_rps=1e7, requests=8,
-                       size=1 << 16, slices=8),
-        ])
-        report = driver.run()
-        assert report.correct
-        by_name = {s.name: s for s in report.streams}
-        return (by_name["vec"].throughput_rps,
-                by_name["olap"].throughput_rps)
-
-    def test_four_devices_at_least_3x(self):
-        vec_1, olap_1 = self._throughputs(1)
-        vec_4, olap_4 = self._throughputs(4)
-        assert vec_4 / vec_1 >= 3.0
-        assert olap_4 / olap_1 >= 3.0
+            ServingEngine(platform, [], **_UNBATCHED_FIFO)
