@@ -45,13 +45,17 @@ Backend selection
   gathers/scatters, scratchpad state, µthread-divergent branches and
   sub-threshold launch sizes run on the masked **SIMT engine**
   (:mod:`repro.exec.simt`: active-mask stack with post-dominator
-  reconvergence, lane-ordered grouped AMOs, per-unit scratchpad shadows).
+  reconvergence, lane-ordered grouped AMOs, per-unit scratchpad shadows),
+  and launches no wider than the device (one µthread per unit) on the
+  **point engine** (:mod:`repro.exec.point`).  Both vectorized walks
+  execute register-only instructions through one shared core,
+  :class:`repro.exec.simt.LaneOps`.
   Only translation faults, read-after-write races through memory,
   order-sensitive atomic contention and unsupported instructions still
   fall back to the interpreter — counted in ``exec.batched_fallbacks``
   and attributed in ``exec.fallback_reason.<class>``; engine launches
-  land in ``exec.batched_launches`` / ``exec.simt_launches``.
-  ``REPRO_SIMT=0`` disables the SIMT tier (pre-SIMT fallback classes).
+  land in ``exec.batched_launches`` / ``exec.simt_launches`` (point
+  launches also in ``exec.point_launches``).
 * Repeated launches of the same shape skip tracing entirely through the
   cross-launch :mod:`~repro.exec.trace_cache` (``exec.trace_cache_hits`` /
   ``exec.trace_cache_misses``; disable with ``REPRO_TRACE_CACHE=0``) —

@@ -19,7 +19,10 @@ exploits that regularity with two vectorized engines:
   active-mask stack with reconvergence at immediate post-dominators,
   deterministic lane-ordered AMO grouping and per-unit scratchpad
   shadows.  Only translation faults and genuine read-after-write races
-  through memory still reach the interpreter.
+  through memory still reach the interpreter.  Both walks execute ALU,
+  vector-ALU and reduction instructions through the shared
+  :class:`~repro.exec.simt.LaneOps` core; the launch-uniform walk keeps
+  launch-uniform registers 0-d and never passes a lane mask.
 
 * **Timing** is replayed analytically from the recorded dynamic trace: the
   per-FU instruction counts bound per-sub-core issue throughput, a
@@ -48,10 +51,8 @@ launch, counted in ``exec.batched_fallbacks`` and attributed under
 the interpreter's bytes: translation faults, read-after-write through
 memory (a load overlapping a buffered store, or cross-lane races the
 SIMT hazard detector refuses to order), order-sensitive atomic
-contention, trace-cap blowouts, and unsupported instructions.  Set
-``REPRO_SIMT=0`` to disable the SIMT engine and restore the pre-SIMT
-fallback classes (phases / atomics / gathers / divergence / scratchpad /
-small launches go back to the interpreter).
+contention, trace-cap blowouts, and unsupported instructions.
+``REPRO_EXEC_BACKEND=interpreter`` runs every launch on the interpreter.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ import math
 
 import numpy as np
 
-from repro.config import env_flag
 from repro.exec.base import register_backend
 from repro.exec.interpreter import InterpreterBackend
 from repro.exec.point import attempt_point
 from repro.exec.simt import (
     MAX_TRACE_STEPS,
+    LaneOps,
     LaunchFallback,
     SimtPlan,
     Translator,
@@ -82,7 +83,6 @@ from repro.exec.trace_cache import (
 )
 from repro.isa import vectorops as vo
 from repro.isa.encoding import FUnit, Instruction, OpClass
-from repro.isa.registers import to_signed64
 from repro.isa.vector import vlmax
 from repro.isa.vectorops import UnsupportedVectorOp
 from repro.ndp.generator import (
@@ -96,7 +96,7 @@ from repro.ndp.unit import CROSSBAR_NS
 
 #: Launches smaller than this skip the launch-uniform walk: tracing cannot
 #: be amortized and latency effects dominate short launches, which the
-#: masked engine (or, with ``REPRO_SIMT=0``, the interpreter) handles.
+#: masked and point engines handle.
 MIN_BATCH_UTHREADS = 64
 
 _ZERO_X = np.zeros((), dtype=np.int64)
@@ -112,8 +112,6 @@ _UNBATCHABLE = {
 
 #: Uniform-walk fallback classes the SIMT engine can absorb.
 _RETRY_SIMT_SLUGS = {"divergent", "scratchpad", "vconfig"}
-
-_Fallback = LaunchFallback
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,7 @@ class _Done(Exception):
     """Internal control-flow signal: the walk reached ``ret``."""
 
 
-class _BatchReplay:
+class _BatchReplay(LaneOps):
     """Vectorized lockstep execution of one launch's body µthreads.
 
     With a cached :class:`TraceEntry` the walk becomes a *replay*: the
@@ -211,14 +209,17 @@ class _BatchReplay:
         self.vl: int | None = None
         self.sew = 64
 
-    # -- register plumbing ------------------------------------------------
+    # -- register plumbing (LaneOps hooks; ``m`` is always None) ----------
 
-    def _wx(self, idx: int, val) -> None:
+    def _wx(self, idx: int, val, m=None) -> None:
         if idx:
             self.xr[idx] = np.asarray(val).astype(np.int64)
 
-    def _wf(self, idx: int, val) -> None:
+    def _wf(self, idx: int, val, m=None) -> None:
         self.fr[idx] = np.asarray(val, dtype=np.float64)
+
+    def _wv(self, idx: int, val: np.ndarray, m=None) -> None:
+        self.vr[idx] = val
 
     def _read_v(self, idx: int, count: int) -> np.ndarray:
         arr = self.vr[idx]
@@ -230,7 +231,10 @@ class _BatchReplay:
             arr = np.concatenate([arr, pad], axis=-1)
         return arr[..., :count]
 
-    def _eff_vl(self, sew: int) -> int:
+    def _cur_sew(self, m=None) -> int:
+        return self.sew
+
+    def _eff_vl(self, m, sew: int) -> int:
         limit = vlmax(sew)
         return limit if self.vl is None else min(self.vl, limit)
 
@@ -241,7 +245,7 @@ class _BatchReplay:
             return int(a)
         first = a.flat[0]
         if not np.all(a == first):
-            raise _Fallback(f"µthread-divergent {what}", slug)
+            raise LaunchFallback(f"µthread-divergent {what}", slug)
         return int(first)
 
     # -- memory -----------------------------------------------------------
@@ -253,8 +257,8 @@ class _BatchReplay:
         if in_spad.all():
             return True
         if in_spad.any():
-            raise _Fallback("mixed scratchpad/global access vector",
-                            "scratchpad")
+            raise LaunchFallback("mixed scratchpad/global access vector",
+                                 "scratchpad")
         return False
 
     def _next_cached_step(self, is_spad: bool, size: int,
@@ -278,8 +282,9 @@ class _BatchReplay:
             if lo < self._args_lo or hi > self._args_hi:
                 # outside the argument block: per-unit state (unit 0's copy
                 # is not representative), so hand the launch back
-                raise _Fallback("scratchpad load outside the argument block",
-                                "scratchpad")
+                raise LaunchFallback(
+                    "scratchpad load outside the argument block",
+                    "scratchpad")
             if self._entry is not None:
                 self._next_cached_step(True, size, False)
             else:
@@ -301,7 +306,7 @@ class _BatchReplay:
             lo = int(paddrs.min()) if paddrs.ndim else int(paddrs)
             hi = (int(paddrs.max()) if paddrs.ndim else int(paddrs)) + size
             if self.log.overlaps(lo, hi):
-                raise _Fallback(
+                raise LaunchFallback(
                     "load overlaps a buffered store (RAW via memory)", "raw")
             self.mem_steps.append(_MemStep(False, size, False, paddrs, addr))
         return self.device.physical.gather_rows(paddrs, size)
@@ -310,7 +315,8 @@ class _BatchReplay:
         """Buffer a store of (..., size) uint8 rows at per-µthread addrs."""
         addr = np.asarray(addr, dtype=np.int64)
         if self._classify(addr):
-            raise _Fallback("scratchpad store in kernel body", "scratchpad")
+            raise LaunchFallback("scratchpad store in kernel body",
+                                 "scratchpad")
         size = data.shape[-1]
         if self._entry is not None:
             step = self._next_cached_step(False, size, True)
@@ -341,7 +347,7 @@ class _BatchReplay:
             try:
                 while pc < count:
                     if self._executed >= MAX_TRACE_STEPS:
-                        raise _Fallback("trace exceeds step cap", "cap")
+                        raise LaunchFallback("trace exceeds step cap", "cap")
                     inst = instructions[pc]
                     self._executed += 1
                     if record:
@@ -350,7 +356,7 @@ class _BatchReplay:
             except _Done:
                 pass
             except UnsupportedVectorOp as exc:
-                raise _Fallback(str(exc)) from None
+                raise LaunchFallback(str(exc)) from None
         if not record and (self._executed != self._entry.trace_len
                            or self._mem_i != len(self._entry.steps)):
             raise StaleTrace("control flow diverged from cached trace")
@@ -381,65 +387,10 @@ class _BatchReplay:
         elif op is OpClass.RET:
             raise _Done
         else:
-            raise _Fallback(f"unsupported op class {op.value}")
+            raise LaunchFallback(f"unsupported op class {op.value}")
         return pc + 1
 
-    # -- scalar -----------------------------------------------------------
-
-    def _exec_alu(self, inst: Instruction) -> None:
-        m = inst.mnemonic
-        xr, fr = self.xr, self.fr
-        if m in vo.INT_BINOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[m](
-                np.asarray(xr[inst.rs1]), np.asarray(xr[inst.rs2])))
-        elif m in vo.INT_IMMOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[vo.INT_IMMOPS[m]](
-                np.asarray(xr[inst.rs1]), np.int64(inst.imm)))
-        elif m in ("addw", "mulw"):
-            base = vo.INT_BINOPS["add" if m == "addw" else "mul"]
-            res = base(np.asarray(xr[inst.rs1]), np.asarray(xr[inst.rs2]))
-            self._wx(inst.rd, res.astype(np.int32))
-        elif m == "li":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm)))
-        elif m == "lui":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm << 12)))
-        elif m == "mv":
-            self._wx(inst.rd, xr[inst.rs1])
-        elif m == "neg":
-            self._wx(inst.rd, -np.asarray(xr[inst.rs1]))
-        elif m == "seqz":
-            self._wx(inst.rd, (np.asarray(xr[inst.rs1]) == 0).astype(np.int64))
-        elif m == "snez":
-            self._wx(inst.rd, (np.asarray(xr[inst.rs1]) != 0).astype(np.int64))
-        elif m in vo.FP_BINOPS:
-            self._wf(inst.rd, vo.FP_BINOPS[m](
-                np.asarray(fr[inst.rs1]), np.asarray(fr[inst.rs2])))
-        elif m in vo.FP_COMPARES:
-            self._wx(inst.rd, vo.FP_COMPARES[m](
-                np.asarray(fr[inst.rs1]), np.asarray(fr[inst.rs2])))
-        elif m == "fmadd.d":
-            self._wf(inst.rd,
-                     np.asarray(fr[inst.rs1]) * np.asarray(fr[inst.rs2])
-                     + np.asarray(fr[inst.rs3]))
-        elif m == "fsqrt.d":
-            val = np.asarray(fr[inst.rs1])
-            if np.any(val < 0):
-                raise _Fallback("fsqrt of negative value")
-            self._wf(inst.rd, np.sqrt(val))
-        elif m == "fmv.d":
-            self._wf(inst.rd, fr[inst.rs1])
-        elif m == "fmv.x.d":
-            bits = np.ascontiguousarray(fr[inst.rs1], dtype=np.float64)
-            self._wx(inst.rd, bits.view(np.int64))
-        elif m == "fmv.d.x":
-            bits = np.ascontiguousarray(self.xr[inst.rs1], dtype=np.int64)
-            self._wf(inst.rd, bits.view(np.float64))
-        elif m in ("fcvt.d.l", "fcvt.s.l"):
-            self._wf(inst.rd, np.asarray(xr[inst.rs1]).astype(np.float64))
-        elif m == "fcvt.l.d":
-            self._wx(inst.rd, np.trunc(np.asarray(fr[inst.rs1])).astype(np.int64))
-        else:
-            raise _Fallback(f"unsupported mnemonic {m}")
+    # -- control flow and memory ----------------------------------------
 
     def _exec_branch(self, inst: Instruction, pc: int) -> int:
         m = inst.mnemonic
@@ -451,7 +402,7 @@ class _BatchReplay:
         elif m in vo.BRANCHES_Z:
             cond = vo.BRANCHES_Z[m](np.asarray(self.xr[inst.rs1]))
         else:
-            raise _Fallback(f"unsupported branch {m}")
+            raise LaunchFallback(f"unsupported branch {m}")
         taken = bool(self._uniform_int(np.asarray(cond), "branch"))
         return inst.target if taken else pc + 1
 
@@ -488,7 +439,7 @@ class _BatchReplay:
         requested = self._uniform_int(np.asarray(self.xr[inst.rs1]),
                                       "vsetvli AVL", "vconfig")
         if requested < 0:
-            raise _Fallback(f"vsetvli with negative AVL {requested}")
+            raise LaunchFallback(f"vsetvli with negative AVL {requested}")
         vl = min(requested, vlmax(sew))
         self.sew = sew
         self.vl = vl
@@ -496,7 +447,7 @@ class _BatchReplay:
 
     def _exec_vload(self, inst: Instruction) -> None:
         sew = inst.size * 8
-        vl = self._eff_vl(sew)
+        vl = self._eff_vl(None, sew)
         if vl == 0:
             self.vr[inst.rd] = np.zeros((0,), dtype=np.uint64)
             return
@@ -508,158 +459,13 @@ class _BatchReplay:
 
     def _exec_vstore(self, inst: Instruction) -> None:
         sew = inst.size * 8
-        vl = self._eff_vl(sew)
+        vl = self._eff_vl(None, sew)
         if vl == 0:
             return
         addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
         values = vo.to_pattern(self._read_v(inst.rd, vl).astype(np.int64), sew)
         raw = vo.to_le_bytes(values, inst.size)
         self._store(addr, raw.reshape(raw.shape[:-2] + (vl * inst.size,)))
-
-    def _exec_valu(self, inst: Instruction) -> None:
-        m = inst.mnemonic
-        sew = self.sew
-        vl = self._eff_vl(sew)
-
-        if m in vo.V_INT_BINOPS:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            self.vr[inst.rd] = vo.to_pattern(vo.V_INT_BINOPS[m](a, b), sew)
-        elif m in vo.V_INT_SCALAR:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.xr[inst.rs2]))
-            self.vr[inst.rd] = vo.to_pattern(vo.V_INT_SCALAR[m](a, s), sew)
-        elif m in vo.V_INT_IMM:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            self.vr[inst.rd] = vo.to_pattern(
-                vo.V_INT_IMM[m](a, np.int64(inst.imm)), sew)
-        elif m == "vmacc.vv":
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            d = vo.sign_extend(self._read_v(inst.rd, vl), sew)
-            self.vr[inst.rd] = vo.to_pattern(d + a * b, sew)
-        elif m in vo.V_FP_BINOPS:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            self.vr[inst.rd] = vo.float_to_bits(vo.V_FP_BINOPS[m](a, b), sew)
-        elif m in vo.V_FP_SCALAR:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.fr[inst.rs2]))
-            self.vr[inst.rd] = vo.float_to_bits(vo.V_FP_SCALAR[m](a, s), sew)
-        elif m == "vfmacc.vf":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.fr[inst.rs2]))
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self.vr[inst.rd] = vo.float_to_bits(d + a * s, sew)
-        elif m == "vfmacc.vv":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self.vr[inst.rd] = vo.float_to_bits(d + a * b, sew)
-        elif m in vo.V_INT_COMPARES:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.xr[inst.rs2]))
-            self.vr[inst.rd] = vo.V_INT_COMPARES[m](a, s).astype(np.uint64)
-        elif m in vo.V_FP_COMPARES:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(np.asarray(self.fr[inst.rs2]))
-            self.vr[inst.rd] = vo.V_FP_COMPARES[m](a, s).astype(np.uint64)
-        elif m in ("vmand.mm", "vmor.mm"):
-            a = self._read_v(inst.rs1, vl) != 0
-            b = self._read_v(inst.rs2, vl) != 0
-            out = (a & b) if m == "vmand.mm" else (a | b)
-            self.vr[inst.rd] = out.astype(np.uint64)
-        elif m == "vmerge.vxm":
-            a = self._read_v(inst.rs1, vl)
-            s = vo.to_pattern(vo.per_thread(np.asarray(self.xr[inst.rs2])), sew)
-            mask = self._read_v(0, vl) != 0
-            self.vr[inst.rd] = np.where(mask, s, a)
-        elif m == "vmerge.vim":
-            a = self._read_v(inst.rs1, vl)
-            mask = self._read_v(0, vl) != 0
-            self.vr[inst.rd] = np.where(
-                mask, vo.to_pattern(np.int64(inst.imm), sew), a)
-        elif m == "vmv.v.i":
-            self.vr[inst.rd] = np.full(
-                (vl,), vo.to_pattern(np.int64(inst.imm), sew), dtype=np.uint64)
-        elif m == "vmv.v.x":
-            self.vr[inst.rd] = self._splat(
-                vo.to_pattern(np.asarray(self.xr[inst.rs1]), sew), vl)
-        elif m == "vmv.v.v":
-            self.vr[inst.rd] = self._read_v(inst.rs1, vl).copy()
-        elif m == "vid.v":
-            self.vr[inst.rd] = np.arange(vl, dtype=np.uint64)
-        elif m == "vfmv.v.f":
-            self.vr[inst.rd] = self._splat(
-                vo.float_to_bits(self.fr[inst.rs1], sew), vl)
-        elif m == "vmv.x.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wx(inst.rd, np.int64(0))
-            else:
-                self._wx(inst.rd, vo.sign_extend(values[..., 0], sew))
-        elif m == "vmv.s.x":
-            cur = self.vr[inst.rd]
-            k = cur.shape[-1] if cur is not None and cur.shape[-1] else 1
-            arr = self._read_v(inst.rd, k)
-            s = vo.to_pattern(np.asarray(self.xr[inst.rs1]), sew)
-            if s.ndim == 1 and arr.ndim == 1:
-                arr = np.broadcast_to(arr, (self.n, k))
-            arr = arr.copy()
-            arr[..., 0] = s
-            self.vr[inst.rd] = arr
-        elif m == "vfmv.f.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wf(inst.rd, 0.0)
-            else:
-                self._wf(inst.rd, vo.bits_to_float(values[..., 0], sew))
-        else:
-            raise _Fallback(f"unsupported vector mnemonic {m}")
-
-    def _splat(self, val: np.ndarray, vl: int) -> np.ndarray:
-        v = np.asarray(val, dtype=np.uint64)
-        if v.ndim == 0:
-            return np.full((vl,), v, dtype=np.uint64)
-        return np.repeat(v[:, None], vl, axis=1)
-
-    def _exec_vred(self, inst: Instruction) -> None:
-        m = inst.mnemonic
-        sew = self.sew
-        vl = self._eff_vl(sew)
-        va = self._read_v(inst.rs1, vl)
-        seed = self._read_v(inst.rs2, max(vl, 1))[..., 0]
-
-        # Element accumulation is an *ordered* loop over the (tiny) vl so
-        # float rounding matches the scalar executor exactly.
-        if m == "vredsum.vs":
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = acc + vs[..., j]
-            result = vo.to_pattern(acc, sew)
-        elif m in ("vredmax.vs", "vredmin.vs"):
-            op = np.maximum if m == "vredmax.vs" else np.minimum
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = op(acc, vs[..., j])
-            result = vo.to_pattern(acc, sew)
-        elif m == "vfredusum.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = acc + vs[..., j]
-            result = vo.float_to_bits(acc, sew)
-        elif m == "vfredmax.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = np.maximum(acc, vs[..., j])
-            result = vo.float_to_bits(acc, sew)
-        else:
-            raise _Fallback(f"unsupported reduction {m}")
-        self.vr[inst.rd] = np.asarray(result, dtype=np.uint64)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -683,68 +489,50 @@ class BatchedBackend(InterpreterBackend):
     def __init__(self, device) -> None:
         super().__init__(device)
         self.trace_cache = TraceCache.from_env()
-        self.simt_enabled = env_flag("REPRO_SIMT", True)
-        self.point_enabled = env_flag("REPRO_POINT", True)
 
     # ------------------------------------------------------------------
 
-    def _classify(self, execution: KernelExecution) -> tuple[str, str | None]:
-        """Static routing: (engine, reason-slug).
-
-        ``uniform`` launches try the launch-uniform walk first; ``simt``
-        launches go straight to the masked engine; with ``REPRO_SIMT=0``
-        every non-uniform class routes to the interpreter, restoring the
-        pre-SIMT behaviour.
-        """
+    def _classify(self, execution: KernelExecution) -> str | None:
+        """Static routing: None for the launch-uniform walk, else the
+        reason slug that sends the launch straight to the masked engine."""
         program = execution.instance.kernel.program
-        reason = None
         if (program.initializer is not None or program.finalizer is not None
                 or len(program.bodies) != 1):
-            reason = "phases"
-        else:
-            for inst in program.bodies[0].instructions:
-                slug = _UNBATCHABLE.get(inst.op_class)
-                if slug is not None:
-                    reason = slug
-                    break
-            else:
-                if execution.instance.num_body_uthreads < MIN_BATCH_UTHREADS:
-                    reason = "small"
-        if reason is None:
-            return "uniform", None
-        return ("simt" if self.simt_enabled else "interpreter"), reason
+            return "phases"
+        for inst in program.bodies[0].instructions:
+            slug = _UNBATCHABLE.get(inst.op_class)
+            if slug is not None:
+                return slug
+        if execution.instance.num_body_uthreads < MIN_BATCH_UTHREADS:
+            return "small"
+        return None
 
     def register_execution(self, execution: KernelExecution,
                            now_ns: float) -> None:
         device = self.device
         cache = self.trace_cache
-        route, why = self._classify(execution)
+        why = self._classify(execution)
         failure: LaunchFallback | None = None
-        if route == "interpreter":
-            failure = LaunchFallback(f"routed to interpreter ({why})", why)
         key = trace_key(execution) if cache.enabled else None
 
-        if route == "uniform":
+        if why is None:
             entry = (cache.lookup(key, device.translation_version)
                      if cache.enabled else None)
-            if isinstance(entry, SimtTraceEntry):
-                # this shape degraded to the SIMT engine on a prior launch
-                route = "simt"
-            else:
+            # a SimtTraceEntry: this shape degraded to the SIMT engine on
+            # a prior launch, so go there directly
+            if not isinstance(entry, SimtTraceEntry):
                 failure = self._attempt_uniform(execution, key, entry, now_ns)
                 if failure is None:
                     return
-                if failure.slug in _RETRY_SIMT_SLUGS and self.simt_enabled:
-                    route, failure = "simt", None
+                if failure.slug in _RETRY_SIMT_SLUGS:
+                    failure = None
 
-        if route == "simt" and failure is None:
+        if failure is None:
             # Point tier: launches no wider than the device (one µthread
             # per unit) execute as a synchronous per-lane walk with
             # verified symbolic replay — the masked engine's per-launch
             # numpy setup costs more than such launches' entire work.
-            # ``REPRO_POINT=0`` restores the masked-engine behaviour.
-            if (self.point_enabled and why != "phases"
-                    and execution.instance.num_body_uthreads
+            if (why != "phases" and execution.instance.num_body_uthreads
                     <= execution.num_units):
                 attempt_point(self, execution, now_ns)
                 return

@@ -55,10 +55,6 @@ apply the recorded deltas instead of re-walking the L1/L2/DRAM servers
 system; traffic counters (``ndp.global_traffic_bytes`` etc.) are
 tallied exactly on every replay.  Cross-launch issue pressure is still
 applied as one bulk ``service_batch`` charge per lane.
-
-``REPRO_POINT=0`` disables this engine (small launches go back to the
-masked SIMT path); ``REPRO_TRACE_CACHE_GENERALIZE=0`` keeps the engine
-but pins exact-value cache keys.
 """
 
 from __future__ import annotations
@@ -1028,7 +1024,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     n = instance.num_body_uthreads
     tv = device.translation_version
 
-    key = point_key(execution, cache.generalize) if cache.enabled else None
+    key = point_key(execution) if cache.enabled else None
     family = cache.lookup_point(key, tv) if cache.enabled else None
     identity = (instance.pool_base, instance.offset_bias, instance.args)
 

@@ -481,11 +481,244 @@ class _StackEntry:
 
 
 # ---------------------------------------------------------------------------
+# lockstep instruction core shared by both vectorized walks
+# ---------------------------------------------------------------------------
+
+
+class LaneOps:
+    """ALU, vector-ALU and reduction semantics over numpy lane arrays.
+
+    The launch-uniform walk (:mod:`repro.exec.batched`) and the masked
+    walk below both execute register-only instructions through these
+    methods, so the semantics exist once next to the scalar executor
+    (:mod:`repro.isa.executor`, the specification).  The code is
+    shape-agnostic: register values may be 0-d (launch-uniform) or carry
+    a leading lane axis, elements are indexed as ``[..., j]``, and every
+    write goes through the subclass hooks ``_wx``/``_wf``/``_wv(idx,
+    val, m)``, reads of vector registers through ``_read_v``, and the
+    vector configuration through ``_cur_sew(m)``/``_eff_vl(m, sew)``.
+    ``m`` is the active-lane mask, or None when every lane is active.
+    """
+
+    xr: list[np.ndarray]
+    fr: list[np.ndarray]
+    vr: list[np.ndarray | None]
+
+    def _exec_alu(self, inst: Instruction,
+                  m: np.ndarray | None = None) -> None:
+        mn = inst.mnemonic
+        xr, fr = self.xr, self.fr
+        if mn in vo.INT_BINOPS:
+            self._wx(inst.rd, vo.INT_BINOPS[mn](xr[inst.rs1], xr[inst.rs2]), m)
+        elif mn in vo.INT_IMMOPS:
+            self._wx(inst.rd, vo.INT_BINOPS[vo.INT_IMMOPS[mn]](
+                xr[inst.rs1], np.int64(inst.imm)), m)
+        elif mn in ("addw", "mulw"):
+            base = vo.INT_BINOPS["add" if mn == "addw" else "mul"]
+            self._wx(inst.rd,
+                     base(xr[inst.rs1], xr[inst.rs2]).astype(np.int32), m)
+        elif mn == "li":
+            self._wx(inst.rd, np.int64(to_signed64(inst.imm)), m)
+        elif mn == "lui":
+            self._wx(inst.rd, np.int64(to_signed64(inst.imm << 12)), m)
+        elif mn == "mv":
+            self._wx(inst.rd, xr[inst.rs1], m)
+        elif mn == "neg":
+            self._wx(inst.rd, -xr[inst.rs1], m)
+        elif mn == "seqz":
+            self._wx(inst.rd, (xr[inst.rs1] == 0).astype(np.int64), m)
+        elif mn == "snez":
+            self._wx(inst.rd, (xr[inst.rs1] != 0).astype(np.int64), m)
+        elif mn in vo.FP_BINOPS:
+            self._wf(inst.rd, vo.FP_BINOPS[mn](fr[inst.rs1], fr[inst.rs2]), m)
+        elif mn in vo.FP_COMPARES:
+            self._wx(inst.rd,
+                     vo.FP_COMPARES[mn](fr[inst.rs1], fr[inst.rs2]), m)
+        elif mn == "fmadd.d":
+            self._wf(inst.rd,
+                     fr[inst.rs1] * fr[inst.rs2] + fr[inst.rs3], m)
+        elif mn == "fsqrt.d":
+            val = fr[inst.rs1]
+            check = val if m is None else val[m]
+            if np.any(check < 0):
+                raise LaunchFallback("fsqrt of negative value")
+            # the spec's ``(-0.0) ** 0.5`` is +0.0; ``np.sqrt`` keeps the sign
+            self._wf(inst.rd, np.sqrt(np.abs(val)), m)
+        elif mn == "fmv.d":
+            self._wf(inst.rd, fr[inst.rs1], m)
+        elif mn == "fmv.x.d":
+            bits = np.ascontiguousarray(fr[inst.rs1], dtype=np.float64)
+            self._wx(inst.rd, bits.view(np.int64), m)
+        elif mn == "fmv.d.x":
+            bits = np.ascontiguousarray(xr[inst.rs1], dtype=np.int64)
+            self._wf(inst.rd, bits.view(np.float64), m)
+        elif mn in ("fcvt.d.l", "fcvt.s.l"):
+            self._wf(inst.rd, xr[inst.rs1].astype(np.float64), m)
+        elif mn == "fcvt.l.d":
+            self._wx(inst.rd, np.trunc(fr[inst.rs1]).astype(np.int64), m)
+        else:
+            raise LaunchFallback(f"unsupported mnemonic {mn}")
+
+    def _exec_valu(self, inst: Instruction,
+                   m: np.ndarray | None = None) -> None:
+        mn = inst.mnemonic
+        sew = self._cur_sew(m)
+        vl = self._eff_vl(m, sew)
+
+        if mn in vo.V_INT_BINOPS:
+            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
+            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
+            self._wv(inst.rd, vo.to_pattern(vo.V_INT_BINOPS[mn](a, b), sew), m)
+        elif mn in vo.V_INT_SCALAR:
+            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
+            s = vo.per_thread(self.xr[inst.rs2])
+            self._wv(inst.rd, vo.to_pattern(vo.V_INT_SCALAR[mn](a, s), sew), m)
+        elif mn in vo.V_INT_IMM:
+            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
+            self._wv(inst.rd, vo.to_pattern(
+                vo.V_INT_IMM[mn](a, np.int64(inst.imm)), sew), m)
+        elif mn == "vmacc.vv":
+            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
+            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
+            d = vo.sign_extend(self._read_v(inst.rd, vl), sew)
+            self._wv(inst.rd, vo.to_pattern(d + a * b, sew), m)
+        elif mn in vo.V_FP_BINOPS:
+            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
+            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
+            self._wv(inst.rd, vo.float_to_bits(
+                vo.V_FP_BINOPS[mn](a, b), sew), m)
+        elif mn in vo.V_FP_SCALAR:
+            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
+            s = vo.per_thread(self.fr[inst.rs2])
+            self._wv(inst.rd, vo.float_to_bits(
+                vo.V_FP_SCALAR[mn](a, s), sew), m)
+        elif mn == "vfmacc.vf":
+            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
+            s = vo.per_thread(self.fr[inst.rs2])
+            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
+            self._wv(inst.rd, vo.float_to_bits(d + a * s, sew), m)
+        elif mn == "vfmacc.vv":
+            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
+            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
+            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
+            self._wv(inst.rd, vo.float_to_bits(d + a * b, sew), m)
+        elif mn in vo.V_INT_COMPARES:
+            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
+            s = vo.per_thread(self.xr[inst.rs2])
+            self._wv(inst.rd,
+                     vo.V_INT_COMPARES[mn](a, s).astype(np.uint64), m)
+        elif mn in vo.V_FP_COMPARES:
+            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
+            s = vo.per_thread(self.fr[inst.rs2])
+            self._wv(inst.rd,
+                     vo.V_FP_COMPARES[mn](a, s).astype(np.uint64), m)
+        elif mn in ("vmand.mm", "vmor.mm"):
+            a = self._read_v(inst.rs1, vl) != 0
+            b = self._read_v(inst.rs2, vl) != 0
+            out = (a & b) if mn == "vmand.mm" else (a | b)
+            self._wv(inst.rd, out.astype(np.uint64), m)
+        elif mn == "vmerge.vxm":
+            a = self._read_v(inst.rs1, vl)
+            s = vo.to_pattern(vo.per_thread(self.xr[inst.rs2]), sew)
+            vmask = self._read_v(0, vl) != 0
+            self._wv(inst.rd, np.where(vmask, s, a), m)
+        elif mn == "vmerge.vim":
+            a = self._read_v(inst.rs1, vl)
+            vmask = self._read_v(0, vl) != 0
+            self._wv(inst.rd, np.where(
+                vmask, vo.to_pattern(np.int64(inst.imm), sew), a), m)
+        elif mn == "vmv.v.i":
+            self._wv(inst.rd, np.full(
+                (vl,), vo.to_pattern(np.int64(inst.imm), sew),
+                dtype=np.uint64), m)
+        elif mn == "vmv.v.x":
+            self._wv(inst.rd, _splat(vo.to_pattern(self.xr[inst.rs1], sew),
+                                     vl), m)
+        elif mn == "vmv.v.v":
+            self._wv(inst.rd, self._read_v(inst.rs1, vl).copy(), m)
+        elif mn == "vid.v":
+            self._wv(inst.rd, np.arange(vl, dtype=np.uint64), m)
+        elif mn == "vfmv.v.f":
+            self._wv(inst.rd, _splat(vo.float_to_bits(self.fr[inst.rs1], sew),
+                                     vl), m)
+        elif mn == "vmv.x.s":
+            values = self.vr[inst.rs1]
+            if values is None or values.shape[-1] == 0:
+                self._wx(inst.rd, np.int64(0), m)
+            else:
+                self._wx(inst.rd, vo.sign_extend(values[..., 0], sew), m)
+        elif mn == "vmv.s.x":
+            cur = self.vr[inst.rd]
+            k = cur.shape[-1] if cur is not None and cur.shape[-1] else 1
+            arr = self._read_v(inst.rd, k)
+            s = vo.to_pattern(self.xr[inst.rs1], sew)
+            shape = np.broadcast_shapes(arr.shape[:-1], s.shape) + (k,)
+            arr = np.broadcast_to(arr, shape).copy()
+            arr[..., 0] = s
+            self._wv(inst.rd, arr, m)
+        elif mn == "vfmv.f.s":
+            values = self.vr[inst.rs1]
+            if values is None or values.shape[-1] == 0:
+                self._wf(inst.rd, 0.0, m)
+            else:
+                self._wf(inst.rd, vo.bits_to_float(values[..., 0], sew), m)
+        else:
+            raise LaunchFallback(f"unsupported vector mnemonic {mn}")
+
+    def _exec_vred(self, inst: Instruction,
+                   m: np.ndarray | None = None) -> None:
+        mn = inst.mnemonic
+        sew = self._cur_sew(m)
+        vl = self._eff_vl(m, sew)
+        va = self._read_v(inst.rs1, vl)
+        seed = self._read_v(inst.rs2, max(vl, 1))[..., 0]
+
+        # Element accumulation is an *ordered* loop over the (tiny) vl so
+        # float rounding matches the scalar executor exactly.
+        if mn == "vredsum.vs":
+            acc = vo.sign_extend(seed, sew)
+            vs = vo.sign_extend(va, sew)
+            for j in range(vl):
+                acc = acc + vs[..., j]
+            result = vo.to_pattern(acc, sew)
+        elif mn in ("vredmax.vs", "vredmin.vs"):
+            fold = np.maximum if mn == "vredmax.vs" else np.minimum
+            acc = vo.sign_extend(seed, sew)
+            vs = vo.sign_extend(va, sew)
+            for j in range(vl):
+                acc = fold(acc, vs[..., j])
+            result = vo.to_pattern(acc, sew)
+        elif mn == "vfredusum.vs":
+            # the spec sums the elements first and adds the seed last
+            total = np.float64(0.0)
+            vs = vo.bits_to_float(va, sew)
+            for j in range(vl):
+                total = total + vs[..., j]
+            result = vo.float_to_bits(vo.bits_to_float(seed, sew) + total, sew)
+        elif mn == "vfredmax.vs":
+            # Python's ``max``: an element replaces the running maximum
+            # only when strictly greater (keeps -0.0 over 0.0, skips NaN)
+            acc = vo.bits_to_float(seed, sew)
+            vs = vo.bits_to_float(va, sew)
+            for j in range(vl):
+                acc = np.where(vs[..., j] > acc, vs[..., j], acc)
+            result = vo.float_to_bits(acc, sew)
+        else:
+            raise LaunchFallback(f"unsupported reduction {mn}")
+        self._wv(inst.rd, np.asarray(result, dtype=np.uint64)[..., None], m)
+
+
+def _splat(val: np.ndarray, vl: int) -> np.ndarray:
+    """``vl`` copies of a (0-d or per-lane) scalar along a new last axis."""
+    return np.repeat(np.asarray(val, dtype=np.uint64)[..., None], vl, axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # one-phase masked walk
 # ---------------------------------------------------------------------------
 
 
-class _PhaseWalk:
+class _PhaseWalk(LaneOps):
     """Masked lockstep execution of one phase's µthreads."""
 
     def __init__(self, plan: "SimtPlan", kind: Phase, program, n: int,
@@ -1118,60 +1351,7 @@ class _PhaseWalk:
         else:
             raise LaunchFallback(f"unsupported op class {op.value}")
 
-    # -- scalar ------------------------------------------------------------
-
-    def _exec_alu(self, inst: Instruction, m: np.ndarray | None) -> None:
-        mn = inst.mnemonic
-        xr, fr = self.xr, self.fr
-        if mn in vo.INT_BINOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[mn](xr[inst.rs1], xr[inst.rs2]), m)
-        elif mn in vo.INT_IMMOPS:
-            self._wx(inst.rd, vo.INT_BINOPS[vo.INT_IMMOPS[mn]](
-                xr[inst.rs1], np.int64(inst.imm)), m)
-        elif mn in ("addw", "mulw"):
-            base = vo.INT_BINOPS["add" if mn == "addw" else "mul"]
-            self._wx(inst.rd,
-                     base(xr[inst.rs1], xr[inst.rs2]).astype(np.int32), m)
-        elif mn == "li":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm)), m)
-        elif mn == "lui":
-            self._wx(inst.rd, np.int64(to_signed64(inst.imm << 12)), m)
-        elif mn == "mv":
-            self._wx(inst.rd, xr[inst.rs1], m)
-        elif mn == "neg":
-            self._wx(inst.rd, -xr[inst.rs1], m)
-        elif mn == "seqz":
-            self._wx(inst.rd, (xr[inst.rs1] == 0).astype(np.int64), m)
-        elif mn == "snez":
-            self._wx(inst.rd, (xr[inst.rs1] != 0).astype(np.int64), m)
-        elif mn in vo.FP_BINOPS:
-            self._wf(inst.rd, vo.FP_BINOPS[mn](fr[inst.rs1], fr[inst.rs2]), m)
-        elif mn in vo.FP_COMPARES:
-            self._wx(inst.rd,
-                     vo.FP_COMPARES[mn](fr[inst.rs1], fr[inst.rs2]), m)
-        elif mn == "fmadd.d":
-            self._wf(inst.rd,
-                     fr[inst.rs1] * fr[inst.rs2] + fr[inst.rs3], m)
-        elif mn == "fsqrt.d":
-            val = fr[inst.rs1]
-            check = val if m is None else val[m]
-            if np.any(check < 0):
-                raise LaunchFallback("fsqrt of negative value")
-            self._wf(inst.rd, np.sqrt(np.abs(val)), m)
-        elif mn == "fmv.d":
-            self._wf(inst.rd, fr[inst.rs1], m)
-        elif mn == "fmv.x.d":
-            bits = np.ascontiguousarray(fr[inst.rs1], dtype=np.float64)
-            self._wx(inst.rd, bits.view(np.int64), m)
-        elif mn == "fmv.d.x":
-            bits = np.ascontiguousarray(xr[inst.rs1], dtype=np.int64)
-            self._wf(inst.rd, bits.view(np.float64), m)
-        elif mn in ("fcvt.d.l", "fcvt.s.l"):
-            self._wf(inst.rd, xr[inst.rs1].astype(np.float64), m)
-        elif mn == "fcvt.l.d":
-            self._wx(inst.rd, np.trunc(fr[inst.rs1]).astype(np.int64), m)
-        else:
-            raise LaunchFallback(f"unsupported mnemonic {mn}")
+    # -- scalar memory -------------------------------------------------------
 
     def _active(self, mask: np.ndarray) -> np.ndarray:
         return np.nonzero(mask)[0]
@@ -1336,147 +1516,6 @@ class _PhaseWalk:
         values = vo.sign_extend(self._read_v(inst.rd, vl)[lanes], sew)
         self._amo(flat_lanes, addrs, values.reshape(-1), "add", inst.size,
                   False)
-
-    def _exec_valu(self, inst: Instruction, m: np.ndarray | None) -> None:
-        mn = inst.mnemonic
-        sew = self._cur_sew(m)
-        vl = self._eff_vl(m, sew)
-
-        if mn in vo.V_INT_BINOPS:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            self._wv(inst.rd, vo.to_pattern(vo.V_INT_BINOPS[mn](a, b), sew), m)
-        elif mn in vo.V_INT_SCALAR:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.xr[inst.rs2])
-            self._wv(inst.rd, vo.to_pattern(vo.V_INT_SCALAR[mn](a, s), sew), m)
-        elif mn in vo.V_INT_IMM:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            self._wv(inst.rd, vo.to_pattern(
-                vo.V_INT_IMM[mn](a, np.int64(inst.imm)), sew), m)
-        elif mn == "vmacc.vv":
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            b = vo.sign_extend(self._read_v(inst.rs2, vl), sew)
-            d = vo.sign_extend(self._read_v(inst.rd, vl), sew)
-            self._wv(inst.rd, vo.to_pattern(d + a * b, sew), m)
-        elif mn in vo.V_FP_BINOPS:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            self._wv(inst.rd, vo.float_to_bits(
-                vo.V_FP_BINOPS[mn](a, b), sew), m)
-        elif mn in vo.V_FP_SCALAR:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.fr[inst.rs2])
-            self._wv(inst.rd, vo.float_to_bits(
-                vo.V_FP_SCALAR[mn](a, s), sew), m)
-        elif mn == "vfmacc.vf":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.fr[inst.rs2])
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self._wv(inst.rd, vo.float_to_bits(d + a * s, sew), m)
-        elif mn == "vfmacc.vv":
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            b = vo.bits_to_float(self._read_v(inst.rs2, vl), sew)
-            d = vo.bits_to_float(self._read_v(inst.rd, vl), sew)
-            self._wv(inst.rd, vo.float_to_bits(d + a * b, sew), m)
-        elif mn in vo.V_INT_COMPARES:
-            a = vo.sign_extend(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.xr[inst.rs2])
-            self._wv(inst.rd,
-                     vo.V_INT_COMPARES[mn](a, s).astype(np.uint64), m)
-        elif mn in vo.V_FP_COMPARES:
-            a = vo.bits_to_float(self._read_v(inst.rs1, vl), sew)
-            s = vo.per_thread(self.fr[inst.rs2])
-            self._wv(inst.rd,
-                     vo.V_FP_COMPARES[mn](a, s).astype(np.uint64), m)
-        elif mn in ("vmand.mm", "vmor.mm"):
-            a = self._read_v(inst.rs1, vl) != 0
-            b = self._read_v(inst.rs2, vl) != 0
-            out = (a & b) if mn == "vmand.mm" else (a | b)
-            self._wv(inst.rd, out.astype(np.uint64), m)
-        elif mn == "vmerge.vxm":
-            a = self._read_v(inst.rs1, vl)
-            s = vo.to_pattern(vo.per_thread(self.xr[inst.rs2]), sew)
-            vmask = self._read_v(0, vl) != 0
-            self._wv(inst.rd, np.where(vmask, s, a), m)
-        elif mn == "vmerge.vim":
-            a = self._read_v(inst.rs1, vl)
-            vmask = self._read_v(0, vl) != 0
-            self._wv(inst.rd, np.where(
-                vmask, vo.to_pattern(np.int64(inst.imm), sew), a), m)
-        elif mn == "vmv.v.i":
-            self._wv(inst.rd, np.full(
-                (self.n, vl), vo.to_pattern(np.int64(inst.imm), sew),
-                dtype=np.uint64), m)
-        elif mn == "vmv.v.x":
-            s = vo.to_pattern(self.xr[inst.rs1], sew)
-            self._wv(inst.rd, np.repeat(s[:, None], max(vl, 1), axis=1), m)
-        elif mn == "vmv.v.v":
-            self._wv(inst.rd, self._read_v(inst.rs1, vl).copy(), m)
-        elif mn == "vid.v":
-            self._wv(inst.rd, np.broadcast_to(
-                np.arange(vl, dtype=np.uint64), (self.n, vl)), m)
-        elif mn == "vfmv.v.f":
-            s = vo.float_to_bits(self.fr[inst.rs1], sew)
-            self._wv(inst.rd, np.repeat(s[:, None], max(vl, 1), axis=1), m)
-        elif mn == "vmv.x.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wx(inst.rd, np.int64(0), m)
-            else:
-                self._wx(inst.rd, vo.sign_extend(values[:, 0], sew), m)
-        elif mn == "vmv.s.x":
-            cur = self.vr[inst.rd]
-            k = cur.shape[-1] if cur is not None and cur.shape[-1] else 1
-            arr = self._read_v(inst.rd, k).copy()
-            arr[:, 0] = vo.to_pattern(self.xr[inst.rs1], sew)
-            self._wv(inst.rd, arr, m)
-        elif mn == "vfmv.f.s":
-            values = self.vr[inst.rs1]
-            if values is None or values.shape[-1] == 0:
-                self._wf(inst.rd, 0.0, m)
-            else:
-                self._wf(inst.rd, vo.bits_to_float(values[:, 0], sew), m)
-        else:
-            raise LaunchFallback(f"unsupported vector mnemonic {mn}")
-
-    def _exec_vred(self, inst: Instruction, m: np.ndarray | None) -> None:
-        mn = inst.mnemonic
-        sew = self._cur_sew(m)
-        vl = self._eff_vl(m, sew)
-        va = self._read_v(inst.rs1, vl)
-        seed = self._read_v(inst.rs2, max(vl, 1))[:, 0]
-
-        # Element accumulation is an *ordered* loop over the (tiny) vl so
-        # float rounding matches the scalar executor exactly.
-        if mn == "vredsum.vs":
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = acc + vs[:, j]
-            result = vo.to_pattern(acc, sew)
-        elif mn in ("vredmax.vs", "vredmin.vs"):
-            fold = np.maximum if mn == "vredmax.vs" else np.minimum
-            acc = vo.sign_extend(seed, sew)
-            vs = vo.sign_extend(va, sew)
-            for j in range(vl):
-                acc = fold(acc, vs[:, j])
-            result = vo.to_pattern(acc, sew)
-        elif mn == "vfredusum.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = acc + vs[:, j]
-            result = vo.float_to_bits(acc, sew)
-        elif mn == "vfredmax.vs":
-            acc = vo.bits_to_float(seed, sew)
-            vs = vo.bits_to_float(va, sew)
-            for j in range(vl):
-                acc = np.maximum(acc, vs[:, j])
-            result = vo.float_to_bits(acc, sew)
-        else:
-            raise LaunchFallback(f"unsupported reduction {mn}")
-        self._wv(inst.rd, np.asarray(result, dtype=np.uint64)[:, None], m)
 
     # -- profile -----------------------------------------------------------
 

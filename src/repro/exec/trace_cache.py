@@ -42,9 +42,6 @@ the recorded path carries symbolic address/branch expressions that are
 re-evaluated against the live launch, so a KVS GET for key A replays a
 path recorded for key B as long as both walks take the same branches
 (``exec.trace_cache_hits_generalized`` counts such hits).
-``REPRO_TRACE_CACHE_GENERALIZE=0`` restores exact-value keys (pool base,
-bound, bias and argument bytes all pinned), the pre-generalization
-behaviour.
 """
 
 from __future__ import annotations
@@ -114,24 +111,18 @@ def trace_key(execution) -> tuple:
     )
 
 
-def point_key(execution, generalize: bool = True) -> tuple:
+def point_key(execution) -> tuple:
     """Structural cache key for a point launch (n <= lane width).
 
-    With ``generalize`` the key is value-free: code hash, stride, ASID
-    and argument-block *length* only.  Pool base, offset bias and the
-    argument bytes are excluded because the cached path stores them
-    symbolically (see :mod:`repro.exec.point`) and re-resolves them
-    against the live launch; relational branch guards + verified load
-    bytes ensure a path only replays when it reproduces the launch's
-    exact control flow.  Without ``generalize`` every value is pinned,
-    restoring exact-key (pre-generalization) matching.
+    The key is value-free: code hash, stride, ASID and argument-block
+    *length* only.  Pool base, offset bias and the argument bytes are
+    excluded because the cached path stores them symbolically (see
+    :mod:`repro.exec.point`) and re-resolves them against the live
+    launch; relational branch guards + verified load bytes ensure a path
+    only replays when it reproduces the launch's exact control flow.
     """
     instance = execution.instance
     code = kernel_code_hash(instance.kernel.program.bodies[0])
-    if not generalize:
-        return ("point", code, instance.pool_base, instance.pool_bound,
-                instance.uthread_stride, instance.offset_bias,
-                instance.asid, instance.args)
     return ("point", code, instance.uthread_stride, instance.asid,
             len(instance.args))
 
@@ -315,11 +306,9 @@ class TraceCache:
     """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
 
     def __init__(self, enabled: bool = True,
-                 capacity: int = DEFAULT_CAPACITY,
-                 generalize: bool = True) -> None:
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        self.generalize = generalize
         self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
 
     @classmethod
@@ -337,8 +326,7 @@ class TraceCache:
                     f"got {raw!r}"
                 )
         return cls(enabled=env_flag("REPRO_TRACE_CACHE", True),
-                   capacity=capacity,
-                   generalize=env_flag("REPRO_TRACE_CACHE_GENERALIZE", True))
+                   capacity=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)

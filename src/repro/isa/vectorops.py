@@ -211,12 +211,22 @@ INT_IMMOPS = {
     "slti": "slt", "sltiu": "sltu",
 }
 
+def _np_fdiv(a, b):
+    """The executor's ``_fp_div``: a zero divisor of either sign gives
+    ``inf`` signed by the dividend alone, and ``0 / 0`` a positive NaN."""
+    special = np.where(a > 0, np.inf, np.where(a < 0, -np.inf, np.nan))
+    return np.where(b == 0, special, a / b)
+
+
 FP_BINOPS = {
     "fadd.s": lambda a, b: a + b, "fadd.d": lambda a, b: a + b,
     "fsub.s": lambda a, b: a - b, "fsub.d": lambda a, b: a - b,
     "fmul.s": lambda a, b: a * b, "fmul.d": lambda a, b: a * b,
-    "fdiv.s": lambda a, b: a / b, "fdiv.d": lambda a, b: a / b,
-    "fmax.d": np.maximum, "fmin.d": np.minimum,
+    "fdiv.s": _np_fdiv, "fdiv.d": _np_fdiv,
+    # Python's ``max``/``min``: ``b`` wins only when strictly greater/less,
+    # so ties between 0.0 and -0.0 (and NaN operands) keep ``a``
+    "fmax.d": lambda a, b: np.where(b > a, b, a),
+    "fmin.d": lambda a, b: np.where(b < a, b, a),
 }
 
 FP_COMPARES = {

@@ -201,24 +201,6 @@ class TestBypass:
         assert platform.stats.get("exec.batched_fallbacks") == 0
         assert platform.stats.get("exec.simt_launches") == 2
 
-    def test_interpreter_fallbacks_bypass_cache(self, monkeypatch):
-        # with the SIMT engine disabled the old fallback classes return
-        # to the interpreter and never touch the trace cache
-        monkeypatch.setenv("REPRO_SIMT", "0")
-        platform = make_platform(backend="batched")
-        runtime = platform.runtime
-        n = 2048
-        values = np.arange(n, dtype=np.int64)
-        addr = runtime.alloc_array(values)
-        out = runtime.alloc(8)
-        kid = runtime.register_kernel(REDUCE_SUM_I64, scratchpad_bytes=64)
-        for _ in range(2):
-            runtime.launch_kernel(kid, addr, addr + n * 8,
-                                  args=pack_args(out))
-        assert runtime.read_array(out, np.int64, 1)[0] == 2 * values.sum()
-        assert _cache_stats(platform) == (0, 0)
-        assert platform.stats.get("exec.batched_fallbacks") == 2
-
     def test_env_var_disables_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
         platform = make_platform(backend="batched")

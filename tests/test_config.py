@@ -1,4 +1,8 @@
-"""Tests for the Table IV configuration presets."""
+"""Tests for the Table IV configuration presets and the REPRO_* knobs."""
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
@@ -147,10 +151,7 @@ def _resolve_tracing():
 
 #: Every boolean ``REPRO_*`` switch, with the call that reads it.
 BOOLEAN_FLAGS = [
-    ("REPRO_SIMT", _build_batched_device),
-    ("REPRO_POINT", _build_batched_device),
     ("REPRO_TRACE_CACHE", _build_batched_device),
-    ("REPRO_TRACE_CACHE_GENERALIZE", _build_batched_device),
     ("REPRO_SERVE_SCATTER_BATCH", _build_kvstore_tenant),
     ("REPRO_MONITOR", _resolve_monitoring),
     ("REPRO_TRACE", _resolve_tracing),
@@ -170,13 +171,13 @@ class TestEnvFlags:
                 read()
 
     def test_env_flag_default_and_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIMT", raising=False)
-        assert env_flag("REPRO_SIMT", True) is True
-        assert env_flag("REPRO_SIMT", False) is False
-        monkeypatch.setenv("REPRO_SIMT", "0")
-        assert env_flag("REPRO_SIMT", True) is False
-        monkeypatch.setenv("REPRO_SIMT", "1")
-        assert env_flag("REPRO_SIMT", False) is True
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        assert env_flag("REPRO_TRACE", True) is True
+        assert env_flag("REPRO_TRACE", False) is False
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert env_flag("REPRO_TRACE", True) is False
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        assert env_flag("REPRO_TRACE", False) is True
 
     def test_trace_cache_capacity_must_be_positive_integer(self,
                                                             monkeypatch):
@@ -187,3 +188,40 @@ class TestEnvFlags:
             with pytest.raises(ConfigError,
                                match="REPRO_TRACE_CACHE_CAPACITY"):
                 TraceCache.from_env()
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_KNOB = re.compile(r"REPRO_[A-Z0-9_]+")
+
+
+def _knobs_read() -> set[str]:
+    """Every ``REPRO_*`` name a string literal spells out under ``src/``
+    or ``benchmarks/`` (docstrings and messages mention, they don't read)."""
+    names = set()
+    for tree in ("src", "benchmarks"):
+        for path in sorted((_ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                        and _KNOB.fullmatch(node.value)):
+                    names.add(node.value)
+    return names
+
+
+def _knob_table_rows() -> list[str]:
+    """Variable names of the README "Knobs" table rows, in order."""
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Knobs\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", section, re.MULTILINE)
+
+
+class TestKnobTable:
+    def test_every_knob_read_has_a_readme_row(self):
+        missing = _knobs_read() - set(_knob_table_rows())
+        assert not missing, f"undocumented knobs: {sorted(missing)}"
+
+    def test_every_readme_row_names_a_knob_something_reads(self):
+        rows = _knob_table_rows()
+        assert len(rows) == len(set(rows)), "duplicate README knob rows"
+        stale = set(rows) - _knobs_read()
+        assert not stale, f"README rows nothing reads: {sorted(stale)}"
