@@ -26,7 +26,7 @@ def test_fig12a_ablation(once):
     # ablation now runs unpinned on the analytic backend, whose roofline
     # hides most of the extra ALU work behind the memory bound — the
     # paper-scale spread (up to 1.20x) needs
-    # REPRO_EXPERIMENT_BACKEND=interpreter (see run_fig12a notes).
+    # REPRO_EXEC_BACKEND=interpreter (see run_fig12a notes).
     assert max(row["wo_addr_opt"] for row in result.rows) > 1.001
 
 

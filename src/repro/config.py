@@ -7,8 +7,10 @@ nanoseconds, all frequencies GHz, all bandwidths bytes/ns (== GB/s).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.errors import ConfigError
 
@@ -17,22 +19,149 @@ MIB = 1024 * KIB
 GIB = 1024 * MIB
 
 
-def env_flag(name: str, default: bool) -> bool:
-    """Read a boolean ``REPRO_*`` switch from the environment.
+# ---------------------------------------------------------------------------
+# REPRO_* knobs
+# ---------------------------------------------------------------------------
 
-    The only accepted values are ``"0"`` and ``"1"``; anything else
-    (``false``, ``yes``, ``""``) raises :class:`ConfigError` naming the
-    variable instead of silently picking a side.
+def _flag(raw) -> bool:
+    # exactly "0" / "1" from the environment, so "false" is an error
+    # rather than a silent "on"; an explicit argument may be a bool
+    if raw not in ("0", "1", 0, 1):
+        raise ValueError("'0' or '1'")
+    return raw in ("1", 1)
+
+
+def _int_at_least(lo: int):
+    def parse(raw) -> int:
+        try:
+            value = int(raw)
+        except (TypeError, ValueError):
+            value = lo - 1
+        if value < lo:
+            raise ValueError(f"an integer >= {lo}")
+        return value
+    return parse
+
+
+def _float_at_least(lo: float, *, strict: bool = False,
+                    finite: bool = True):
+    want = (f"a {'finite ' if finite else ''}number "
+            f"{'>' if strict else '>='} {lo}")
+
+    def parse(raw) -> float:
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            value = math.nan
+        # NaN fails both comparisons
+        if not (value > lo if strict else value >= lo) or (
+                finite and value == math.inf):
+            raise ValueError(want)
+        return value
+    return parse
+
+
+def _choice(names):
+    """``names`` is called at parse time: the registries import config."""
+    def parse(raw) -> str:
+        if raw not in names():
+            raise ValueError(f"one of {list(names())}")
+        return raw
+    return parse
+
+
+def _backends():
+    from repro.exec.base import backend_names
+    return backend_names()
+
+
+def _cluster_schedulers():
+    from repro.cluster.scheduler import SCHEDULERS
+    return SCHEDULERS
+
+
+def _serve_schedulers():
+    from repro.serve.qos import SERVE_SCHEDULERS
+    return SERVE_SCHEDULERS
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One ``REPRO_*`` environment variable.
+
+    ``parse`` turns an environment string or an explicit argument into
+    the setting's value, raising ``ValueError(<what it accepts>)``.  A
+    ``None`` default defers to the caller's config field.
     """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if raw not in ("0", "1"):
+
+    parse: Callable[[object], object]
+    default: object
+    doc: str
+
+
+#: Every ``REPRO_*`` setting the simulator reads, in README order.
+KNOBS: dict[str, Knob] = {
+    "REPRO_EXEC_BACKEND": Knob(
+        _choice(_backends), None,
+        "Execution backend for devices built without an explicit backend "
+        "(unset: NDPConfig.backend; the experiment drivers: batched)."),
+    "REPRO_TRACE_CACHE": Knob(
+        _flag, True, "0 disables the batched backend's cross-launch trace "
+        "cache."),
+    "REPRO_TRACE_CACHE_CAPACITY": Knob(
+        _int_at_least(1), 64, "LRU bound on retained trace-cache entries."),
+    "REPRO_CLUSTER_SCHEDULER": Knob(
+        _choice(_cluster_schedulers), None,
+        "Cluster fan-out policy (unset: ClusterConfig.scheduler)."),
+    "REPRO_PARTITIONS": Knob(
+        str, None, "Hardware partition spec for every device; empty means "
+        "unpartitioned (unset: ClusterConfig.partitions)."),
+    "REPRO_SERVE_SCHEDULER": Knob(
+        _choice(_serve_schedulers), "wfq", "Serving dispatch discipline."),
+    "REPRO_SERVE_MAX_BATCH": Knob(
+        _int_at_least(1), 8, "Dynamic batching width; 1 disables batching."),
+    "REPRO_SERVE_MAX_WAIT_NS": Knob(
+        _float_at_least(0.0, finite=False), 2_000.0,
+        "How long a forming batch may hold for more requests."),
+    "REPRO_SERVE_SCATTER_BATCH": Knob(
+        _flag, True, "0 disables scatter batching of point requests."),
+    "REPRO_LAUNCH_TIMEOUT_NS": Knob(
+        _float_at_least(0.0), 0.0,
+        "Cluster launch watchdog in sim-ns; 0 disables it."),
+    "REPRO_TRACE": Knob(
+        _flag, False, "1 enables span tracing (read once at import)."),
+    "REPRO_MONITOR": Knob(
+        _flag, True, "0 disables the always-on monitoring stack."),
+    "REPRO_RECORDER_CAPACITY": Knob(
+        _int_at_least(1), 256, "Flight-recorder ring size; the default "
+        "holds an incident's fault->detect->recover neighbourhood."),
+    "REPRO_MONITOR_BURN": Knob(
+        _float_at_least(0.0, strict=True), 2.0,
+        "Default burn-rate threshold of default_objectives."),
+}
+
+
+def setting(name: str, explicit=None):
+    """Explicit argument > ``name`` environment variable > table default.
+
+    Both an explicit argument and an environment value go through the
+    knob's parser; a rejected value raises :class:`ConfigError` naming
+    the variable and where the value came from.
+    """
+    knob = KNOBS[name]
+    if explicit is not None:
+        raw, source = explicit, "explicit argument"
+    else:
+        raw = os.environ.get(name)
+        if raw is None:
+            return knob.default
+        source = "environment variable"
+    try:
+        return knob.parse(raw)
+    except ValueError as err:
         raise ConfigError(
-            f"{name} must be '0' or '1', got {raw!r} "
-            f"(from {name} environment variable)"
-        )
-    return raw == "1"
+            f"{name} must be {err}, got {raw!r} (from {source})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

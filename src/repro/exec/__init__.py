@@ -35,10 +35,11 @@ Backend selection
   :func:`repro.workloads.base.make_platform` or ``M2NDPDevice`` always
   wins (experiments pinned to the interpreter must not be overridden from
   the environment).
-* Experiments default to ``batched`` via
-  ``repro.experiments.common.EXPERIMENT_BACKEND``; since the SIMT engine
-  the microarchitectural studies (Fig 6 context occupancy, Fig 12a spawn
-  granularity ablation) run unpinned on it as well.
+* Experiments default to ``REPRO_EXEC_BACKEND`` when it is set and to
+  ``batched`` otherwise (``repro.experiments.common.EXPERIMENT_BACKEND``);
+  since the SIMT engine the microarchitectural studies (Fig 6 context
+  occupancy, Fig 12a spawn granularity ablation) run unpinned on it as
+  well.
 * Inside the batched backend, launches route per class: bulk
   branch-uniform launches take the launch-uniform trace/replay walk;
   initializer/finalizer phases, atomics (AMO/VAMO), indexed

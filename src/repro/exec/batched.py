@@ -61,6 +61,7 @@ import math
 
 import numpy as np
 
+from repro.config import setting
 from repro.exec.base import register_backend
 from repro.exec.interpreter import InterpreterBackend
 from repro.exec.point import attempt_point
@@ -488,7 +489,10 @@ class BatchedBackend(InterpreterBackend):
 
     def __init__(self, device) -> None:
         super().__init__(device)
-        self.trace_cache = TraceCache.from_env()
+        self.trace_cache = TraceCache(
+            enabled=setting("REPRO_TRACE_CACHE"),
+            capacity=setting("REPRO_TRACE_CACHE_CAPACITY"),
+        )
 
     # ------------------------------------------------------------------
 

@@ -32,7 +32,8 @@ change wall-clock time but never results.
 
 ``REPRO_TRACE_CACHE=0`` disables the cache entirely (every launch takes
 the full trace path); ``REPRO_TRACE_CACHE_CAPACITY`` bounds the number of
-retained entries (LRU, default 64).
+retained entries (LRU); the backend resolves both through
+:func:`repro.config.setting` when it builds the cache.
 
 Point launches (n <= lane width, :mod:`repro.exec.point`) cache
 :class:`PointPathEntry` *families*: one cache slot per **structural** key
@@ -46,18 +47,12 @@ path recorded for key B as long as both walks take the same branches
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import env_flag
-from repro.errors import ConfigError
 from repro.isa.encoding import FUnit
-
-#: Default number of cached launch shapes kept per device.
-DEFAULT_CAPACITY = 64
 
 #: Distinct control-flow paths retained per point-launch family (one
 #: family occupies one LRU slot; a hash-chain walk needs roughly
@@ -305,28 +300,10 @@ class SimtTraceEntry:
 class TraceCache:
     """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
 
-    def __init__(self, enabled: bool = True,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
+    def __init__(self, enabled: bool, capacity: int) -> None:
         self.enabled = enabled
         self.capacity = capacity
         self._entries: OrderedDict[tuple, TraceEntry] = OrderedDict()
-
-    @classmethod
-    def from_env(cls) -> "TraceCache":
-        raw = os.environ.get("REPRO_TRACE_CACHE_CAPACITY")
-        capacity = DEFAULT_CAPACITY
-        if raw is not None:
-            try:
-                capacity = int(raw)
-            except ValueError:
-                capacity = 0          # not an integer: rejected below
-            if capacity < 1:
-                raise ConfigError(
-                    f"REPRO_TRACE_CACHE_CAPACITY must be an integer >= 1, "
-                    f"got {raw!r}"
-                )
-        return cls(enabled=env_flag("REPRO_TRACE_CACHE", True),
-                   capacity=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)

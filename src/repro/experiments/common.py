@@ -8,17 +8,16 @@ one place).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-#: Execution backend used by the figure reproductions (see repro.exec).
-#: Experiments default to the batched trace-replay fast path — launches it
-#: cannot replay (atomics, gathers, multi-phase kernels) automatically fall
-#: back to the interpreter per launch, so results stay correct everywhere.
-#: The microarchitectural studies (Fig 6 context occupancy, Fig 12a spawn
-#: granularity) pin the interpreter explicitly and ignore this default.
-#: Override with the REPRO_EXPERIMENT_BACKEND env var.
-EXPERIMENT_BACKEND = os.environ.get("REPRO_EXPERIMENT_BACKEND", "batched")
+from repro.config import setting
+
+#: Execution backend used by the figure reproductions (see repro.exec):
+#: ``REPRO_EXEC_BACKEND`` when it is set, else the batched backend, whose
+#: uniform and SIMT engines run every figure kernel (atomics, gathers and
+#: multi-phase kernels included) byte-identically to the interpreter.
+#: Drivers that pass ``backend=`` explicitly ignore this default.
+EXPERIMENT_BACKEND = setting("REPRO_EXEC_BACKEND") or "batched"
 
 
 @dataclass

@@ -74,7 +74,7 @@ def run_fig12a(scale_name: str = "small") -> ExperimentResult:
         "1.51x (1.08), w/o addr opt up to 1.20x (1.02); the analytic "
         "backend's deterministic per-lane latencies compress the "
         "fine-grained ablation toward 1.0 — run with "
-        "REPRO_EXPERIMENT_BACKEND=interpreter for the event-driven spread"
+        "REPRO_EXEC_BACKEND=interpreter for the event-driven spread"
     )
     return result
 

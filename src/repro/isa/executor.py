@@ -617,8 +617,11 @@ def _exec_vred(inst: Instruction, regs: UThreadRegisters) -> ExecResult:
             min([as_signed(seed, sew)] + [as_signed(a, sew) for a in va]), sew
         )
     elif m == "vfredusum.vs":
-        total = bits_to_float(seed, sew) + sum(bits_to_float(a, sew) for a in va)
-        result = float_to_bits(total, sew)
+        # ordered: ``sum`` compensates float sums from Python 3.12 on
+        total = 0.0
+        for a in va:
+            total += bits_to_float(a, sew)
+        result = float_to_bits(bits_to_float(seed, sew) + total, sew)
     elif m == "vfredmax.vs":
         values = [bits_to_float(seed, sew)] + [bits_to_float(a, sew) for a in va]
         result = float_to_bits(max(values), sew)

@@ -33,30 +33,25 @@ swim-lanes in one pass at export time.
 Overhead discipline: tracing is **off by default** (``REPRO_TRACE=0``).
 Instrumented hot paths guard every span with ``if tracer_mod.ENABLED:``
 — a module-attribute load and branch, nothing else.  ``REPRO_TRACE``
-accepts only ``0`` or ``1``; anything else raises
-:class:`~repro.errors.ConfigError` at import, matching the other
-``REPRO_*`` knobs.
+is read once, at import, through :func:`repro.config.setting`: anything
+but ``0`` or ``1`` raises :class:`~repro.errors.ConfigError` there.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.config import env_flag
+from repro.config import setting
 
 #: pid of the serving/cluster host process in exported traces; devices
 #: are pid ``1 + device_index`` (``M2NDPDevice.trace_pid``).
 HOST_PID = 0
 
 
-def _env_enabled() -> bool:
-    return env_flag("REPRO_TRACE", False)
-
-
 #: Module-level enabled flag.  Hot paths read this attribute directly;
 #: :func:`set_enabled` flips it at runtime (the ``--trace`` flag, tests,
 #: the smoke benchmark's on/off passes).
-ENABLED: bool = _env_enabled()
+ENABLED: bool = setting("REPRO_TRACE")
 
 
 def enabled() -> bool:

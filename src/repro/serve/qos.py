@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+from repro.config import KNOBS
 from repro.errors import ConfigError
 
 #: Latency classes, in priority order.
@@ -41,10 +42,10 @@ SERVE_SCHEDULERS = ("fifo", "wfq")
 DEFAULT_STARVATION_NS = 100_000.0
 
 
-def validate_serve_scheduler(name: str, source: str = "scheduler") -> str:
+def validate_serve_scheduler(name: str) -> str:
     if name not in SERVE_SCHEDULERS:
         raise ConfigError(
-            f"unknown serving scheduler {name!r} (from {source}); "
+            f"unknown serving scheduler {name!r}; "
             f"choose from {list(SERVE_SCHEDULERS)}"
         )
     return name
@@ -148,7 +149,7 @@ class RequestQueue:
 class QoSScheduler:
     """Picks which tenant's queue to serve next (see module docstring)."""
 
-    policy: str = "wfq"
+    policy: str = KNOBS["REPRO_SERVE_SCHEDULER"].default
     weights: dict[str, float] = field(default_factory=dict)
     starvation_ns: float = DEFAULT_STARVATION_NS
     _finish: dict[str, float] = field(default_factory=dict)

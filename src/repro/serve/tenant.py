@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import env_flag
+from repro.config import setting
 from repro.errors import ConfigError
 from repro.host.api import pack_args
 from repro.kernels.kvstore import (
@@ -308,7 +308,7 @@ class TenantWorkload:
         # scatter batching: a staging ring of per-request descriptors the
         # fused KVS_GET_SCATTER / KVS_SET_SCATTER launch walks, one
         # µthread per entry
-        self._scatter_enabled = env_flag("REPRO_SERVE_SCATTER_BATCH", True)
+        self._scatter_enabled = setting("REPRO_SERVE_SCATTER_BATCH")
         if self._scatter_enabled:
             self.scatter_kid = self.runtime.register_kernel(
                 KVS_GET_SCATTER, name=f"{self.spec.name}.get_scatter"

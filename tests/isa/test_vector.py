@@ -223,6 +223,23 @@ class TestVectorFP:
         """)
         assert regs.f[2] == pytest.approx(24.0)
 
+    def test_vfredusum_adds_in_element_order(self):
+        # compensated summation would give 1.0; the fast engines' ordered
+        # loop (and RVV's sequential reading) gives 0.0
+        mem = SimpleMemory()
+        mem.store(0x1000, struct.pack("<3d", 1e16, 1.0, -1e16))
+        regs, _ = run_program("""
+            li x9, 3
+            vsetvli x0, x9, e64
+            li x1, 0x1000
+            vle64.v v1, (x1)
+            vmv.v.i v2, 0
+            vfredusum.vs v3, v1, v2
+            vfmv.f.s f2, v3
+            ret
+        """, mem=mem)
+        assert regs.f[2] == 0.0
+
 
 class TestVectorReductions:
     def test_vredsum_with_seed(self):

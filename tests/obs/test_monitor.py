@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import make_cluster_platform
 from repro.errors import ConfigError
 from repro.obs.monitor import (
     DEFAULT_BURN_THRESHOLD,
@@ -13,10 +14,9 @@ from repro.obs.monitor import (
     SLObjective,
     SLOMonitor,
     default_objectives,
-    resolve_burn_threshold,
-    resolve_monitoring,
 )
 from repro.obs.recorder import FlightRecorder
+from repro.serve import ServingEngine, TenantSpec
 from repro.sim.stats import StatsRegistry
 
 BEAT_NS = 1_000.0
@@ -224,27 +224,34 @@ class TestValidation:
                        fast_window_ns=0.0)
 
     def test_resolve_monitoring_env(self, monkeypatch):
+        def engine(monitoring=None):
+            platform = make_cluster_platform(num_devices=1, backend="batched")
+            return ServingEngine(platform, [TenantSpec("v", "vecadd", size=256)],
+                                 monitoring=monitoring)
+
         monkeypatch.delenv("REPRO_MONITOR", raising=False)
-        assert resolve_monitoring(None) is True
+        assert engine().monitor is not None
         monkeypatch.setenv("REPRO_MONITOR", "0")
-        assert resolve_monitoring(None) is False
-        assert resolve_monitoring(True) is True     # explicit wins
+        assert engine().monitor is None
+        assert engine(True).monitor is not None     # explicit wins
         monkeypatch.setenv("REPRO_MONITOR", "yes")
         with pytest.raises(ConfigError, match="REPRO_MONITOR"):
-            resolve_monitoring(None)
+            engine()
 
     def test_resolve_burn_threshold_env(self, monkeypatch):
+        def threshold(explicit=None):
+            return default_objectives(["t"], burn_threshold=explicit)[
+                "t"].burn_threshold
+
         monkeypatch.delenv("REPRO_MONITOR_BURN", raising=False)
-        assert resolve_burn_threshold(None) == DEFAULT_BURN_THRESHOLD
+        assert threshold() == DEFAULT_BURN_THRESHOLD
         monkeypatch.setenv("REPRO_MONITOR_BURN", "3.5")
-        assert resolve_burn_threshold(None) == 3.5
-        assert resolve_burn_threshold(1.5) == 1.5   # explicit wins
-        monkeypatch.setenv("REPRO_MONITOR_BURN", "fast")
-        with pytest.raises(ConfigError, match="REPRO_MONITOR_BURN"):
-            resolve_burn_threshold(None)
-        monkeypatch.setenv("REPRO_MONITOR_BURN", "-1")
-        with pytest.raises(ConfigError, match="> 0"):
-            resolve_burn_threshold(None)
+        assert threshold() == 3.5
+        assert threshold(1.5) == 1.5   # explicit wins
+        for bad in ("fast", "-1"):
+            monkeypatch.setenv("REPRO_MONITOR_BURN", bad)
+            with pytest.raises(ConfigError, match="REPRO_MONITOR_BURN"):
+                threshold()
 
     def test_default_objectives_inherit_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_MONITOR_BURN", "4.0")

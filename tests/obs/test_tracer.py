@@ -1,8 +1,13 @@
 """Unit tests for the span tracer (repro.obs.tracer)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.errors import ConfigError
+import repro
 from repro.obs import tracer as obs_tracer
 from repro.obs.tracer import HOST_PID, NULL_TRACER, Tracer, tracer_of
 from repro.sim.engine import Simulator
@@ -120,17 +125,27 @@ class TestLanesAndStitching:
         assert list(agg) == sorted(agg)
 
 
-class TestEnabledFlag:
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "yes")
-        with pytest.raises(ConfigError):
-            obs_tracer._env_enabled()
+def _import_tracer(value: str) -> subprocess.CompletedProcess:
+    """Import the tracer in a fresh process with ``REPRO_TRACE=value``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    env["REPRO_TRACE"] = value
+    return subprocess.run(
+        [sys.executable, "-c",
+         "from repro.obs import tracer; print(tracer.ENABLED)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
 
-    def test_env_accepts_zero_and_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert obs_tracer._env_enabled() is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert obs_tracer._env_enabled() is True
+
+class TestEnabledFlag:
+    def test_env_rejects_garbage(self):
+        run = _import_tracer("yes")
+        assert run.returncode != 0
+        assert "ConfigError: REPRO_TRACE" in run.stderr
+
+    def test_env_accepts_zero_and_one(self):
+        assert _import_tracer("0").stdout.split() == ["False"]
+        assert _import_tracer("1").stdout.split() == ["True"]
 
     def test_tracer_of_null_when_disabled(self, restore_enabled):
         obs_tracer.set_enabled(False)

@@ -12,8 +12,6 @@ from repro.serve import (
     BatchPolicy,
     ServingEngine,
     TenantSpec,
-    resolve_batch_policy,
-    resolve_serve_scheduler,
 )
 from repro.serve.autoscaler import Autoscaler
 
@@ -290,26 +288,42 @@ class TestAutoscaler:
                        num_devices=4)
 
 
+def _small_engine(**kwargs):
+    platform = make_cluster_platform(num_devices=1, backend="batched")
+    return ServingEngine(platform, [TenantSpec("v", "vecadd", size=256)],
+                         monitoring=False, **kwargs)
+
+
 class TestEnvKnobs:
     def test_scheduler_env_resolved_and_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_SCHEDULER", "fifo")
-        assert resolve_serve_scheduler(None) == "fifo"
-        assert resolve_serve_scheduler("wfq") == "wfq"   # explicit wins
+        assert _small_engine().scheduler.policy == "fifo"
+        # explicit wins
+        assert _small_engine(scheduler="wfq").scheduler.policy == "wfq"
         monkeypatch.setenv("REPRO_SERVE_SCHEDULER", "lottery")
-        with pytest.raises(ConfigError):
-            resolve_serve_scheduler(None)
+        with pytest.raises(ConfigError, match="REPRO_SERVE_SCHEDULER"):
+            _small_engine()
 
     def test_batch_env_resolved_and_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "4")
         monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_NS", "1500")
-        policy = resolve_batch_policy(None)
-        assert policy.max_batch == 4 and policy.max_wait_ns == 1500.0
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "many")
-        with pytest.raises(ConfigError):
-            resolve_batch_policy(None)
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "0")
-        with pytest.raises(ConfigError):
-            resolve_batch_policy(None)
+        assert _small_engine().batcher.policy == BatchPolicy(4, 1500.0)
+        explicit = BatchPolicy(max_batch=2)
+        assert _small_engine(batch=explicit).batcher.policy is explicit
+        for bad in ("many", "0"):
+            monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", bad)
+            with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_BATCH"):
+                _small_engine()
+
+    def test_nan_max_wait_rejected(self, monkeypatch):
+        # NaN compares false against every hold deadline, so it used to
+        # switch batching off without an error
+        with pytest.raises(ConfigError, match="max_wait_ns"):
+            BatchPolicy(max_wait_ns=float("nan"))
+        assert BatchPolicy(max_wait_ns=float("inf")).max_wait_ns == float("inf")
+        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_NS", "nan")
+        with pytest.raises(ConfigError, match="REPRO_SERVE_MAX_WAIT_NS"):
+            _small_engine()
 
     def test_tenant_validation(self):
         with pytest.raises(ConfigError):

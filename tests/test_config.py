@@ -1,13 +1,18 @@
 """Tests for the Table IV configuration presets and the REPRO_* knobs."""
 
 import ast
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.cluster import make_cluster_platform
+import repro
 from repro.config import (
+    KNOBS,
     CPUConfig,
     CXLConfig,
     GPUConfig,
@@ -16,19 +21,14 @@ from repro.config import (
     cpu_ndp_config,
     ddr5_host_dram,
     default_system,
-    env_flag,
     gpu_ndp_config,
     hbm2_gpu_dram,
     lpddr5_cxl_dram,
     memory_side_l2_config,
     ndp_l1d_config,
+    setting,
 )
 from repro.errors import ConfigError
-from repro.exec.trace_cache import TraceCache
-from repro.obs import tracer
-from repro.obs.monitor import resolve_monitoring
-from repro.serve import ServingEngine, TenantSpec
-from repro.workloads.base import make_platform
 
 
 class TestDRAMPresets:
@@ -131,63 +131,75 @@ class TestSystemConfig:
             system.cxl.load_to_use_ns = 999.0
 
 
-def _build_batched_device():
-    make_platform(backend="batched")
+#: name -> (default, a valid environment value, what it parses to, an
+#: explicit argument, invalid values).  Partition specs are validated
+#: against the device at construction (tests/cluster/test_partitions.py).
+KNOB_CASES = {
+    "REPRO_EXEC_BACKEND": (None, "batched", "batched", "interpreter",
+                           ["jit", ""]),
+    "REPRO_TRACE_CACHE": (True, "0", False, True, ["false", "yes", ""]),
+    "REPRO_TRACE_CACHE_CAPACITY": (64, "2", 2, 5, ["abc", "0", "1.5"]),
+    "REPRO_CLUSTER_SCHEDULER": (None, "round_robin", "round_robin",
+                                "least_outstanding", ["fifo", ""]),
+    "REPRO_PARTITIONS": (None, "a:1,b:1", "a:1,b:1", "x:1", []),
+    "REPRO_SERVE_SCHEDULER": ("wfq", "fifo", "fifo", "wfq", ["lottery"]),
+    "REPRO_SERVE_MAX_BATCH": (8, "4", 4, 1, ["many", "0"]),
+    "REPRO_SERVE_MAX_WAIT_NS": (2000.0, "1500", 1500.0, math.inf,
+                                ["soon", "-1", "nan"]),
+    "REPRO_SERVE_SCATTER_BATCH": (True, "0", False, True, ["yes", ""]),
+    "REPRO_LAUNCH_TIMEOUT_NS": (0.0, "2500", 2500.0, 100.0,
+                                ["soon", "-5", "inf", "nan"]),
+    "REPRO_TRACE": (False, "1", True, False, ["yes", "true", ""]),
+    "REPRO_MONITOR": (True, "0", False, True, ["yes", "off"]),
+    "REPRO_RECORDER_CAPACITY": (256, "32", 32, 64, ["many", "0", "-3"]),
+    "REPRO_MONITOR_BURN": (2.0, "3.5", 3.5, 1.5,
+                           ["fast", "0", "-1", "inf", "nan"]),
+}
 
 
-def _build_kvstore_tenant():
-    platform = make_cluster_platform(num_devices=1, backend="batched")
-    ServingEngine(platform, [TenantSpec("kv", "kvstore", size=64)],
-                  monitoring=False)
+class TestKnobs:
+    def test_every_knob_has_a_case(self):
+        assert list(KNOB_CASES) == list(KNOBS)
 
-
-def _resolve_monitoring():
-    resolve_monitoring(None)
-
-
-def _resolve_tracing():
-    tracer._env_enabled()
-
-
-#: Every boolean ``REPRO_*`` switch, with the call that reads it.
-BOOLEAN_FLAGS = [
-    ("REPRO_TRACE_CACHE", _build_batched_device),
-    ("REPRO_SERVE_SCATTER_BATCH", _build_kvstore_tenant),
-    ("REPRO_MONITOR", _resolve_monitoring),
-    ("REPRO_TRACE", _resolve_tracing),
-]
-
-
-class TestEnvFlags:
-    @pytest.mark.parametrize("name,read", BOOLEAN_FLAGS,
-                             ids=[name for name, _ in BOOLEAN_FLAGS])
-    def test_flag_accepts_only_zero_or_one(self, monkeypatch, name, read):
-        for good in ("0", "1"):
-            monkeypatch.setenv(name, good)
-            read()
-        for bad in ("false", "yes", ""):
+    @pytest.mark.parametrize("name", list(KNOB_CASES))
+    def test_knob(self, monkeypatch, name):
+        default, env, parsed, explicit, invalid = KNOB_CASES[name]
+        monkeypatch.delenv(name, raising=False)
+        assert setting(name) == KNOBS[name].default == default
+        monkeypatch.setenv(name, env)
+        assert setting(name) == parsed
+        assert setting(name, explicit) == explicit
+        for bad in invalid:
             monkeypatch.setenv(name, bad)
-            with pytest.raises(ConfigError, match=name):
-                read()
-
-    def test_env_flag_default_and_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert env_flag("REPRO_TRACE", True) is True
-        assert env_flag("REPRO_TRACE", False) is False
-        monkeypatch.setenv("REPRO_TRACE", "0")
-        assert env_flag("REPRO_TRACE", True) is False
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert env_flag("REPRO_TRACE", False) is True
-
-    def test_trace_cache_capacity_must_be_positive_integer(self,
-                                                            monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_CAPACITY", "2")
-        assert TraceCache.from_env().capacity == 2
-        for bad in ("abc", "0"):
-            monkeypatch.setenv("REPRO_TRACE_CACHE_CAPACITY", bad)
             with pytest.raises(ConfigError,
-                               match="REPRO_TRACE_CACHE_CAPACITY"):
-                TraceCache.from_env()
+                               match=f"{name} .*environment variable"):
+                setting(name)
+            with pytest.raises(ConfigError,
+                               match=f"{name} .*explicit argument"):
+                setting(name, bad)
+            # an explicit argument never reads the environment
+            assert setting(name, explicit) == explicit
+
+    @staticmethod
+    def _experiment_backend(value: str | None):
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        if value is not None:
+            env["REPRO_EXEC_BACKEND"] = value
+        return subprocess.run(
+            [sys.executable, "-c", "from repro.experiments.common import "
+             "EXPERIMENT_BACKEND; print(EXPERIMENT_BACKEND)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_experiment_drivers_follow_exec_backend(self):
+        assert self._experiment_backend(None).stdout.split() == ["batched"]
+        run = self._experiment_backend("interpreter")
+        assert run.stdout.split() == ["interpreter"]
+        run = self._experiment_backend("bogus")
+        assert run.returncode != 0
+        assert "ConfigError: REPRO_EXEC_BACKEND" in run.stderr
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -208,20 +220,80 @@ def _knobs_read() -> set[str]:
     return names
 
 
-def _knob_table_rows() -> list[str]:
-    """Variable names of the README "Knobs" table rows, in order."""
+#: Read by benchmarks/check_budget.py, which runs without src/ on the path.
+_BENCH_KNOBS = ["REPRO_BENCH_BUDGET_FACTOR"]
+
+
+def _knob_table_rows() -> list[tuple[str, str]]:
+    """README "Knobs" table rows as (variable name, values cell), in order."""
     text = (_ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Knobs\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", section, re.MULTILINE)
+    return re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \| ([^|]*) \|",
+                      section, re.MULTILINE)
+
+
+def _settings_called() -> set[str]:
+    """Names passed as the first argument of a ``setting(...)`` call in a
+    module under ``src/`` other than ``repro/config.py``."""
+    src = _ROOT / "src" / "repro"
+    names = set()
+    for path in sorted(src.rglob("*.py")):
+        if path == src / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "setting" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                names.add(node.args[0].value)
+    return names
+
+
+def _environ_reads(path: Path, allow_listing: bool) -> list[int]:
+    """Lines where a module touches ``os.environ`` / ``os.getenv``;
+    ``allow_listing`` exempts ``os.environ.items()``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    listed = {id(node.value) for node in ast.walk(tree)
+              if allow_listing and isinstance(node, ast.Attribute)
+              and node.attr == "items"}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and id(node) not in listed]
 
 
 class TestKnobTable:
     def test_every_knob_read_has_a_readme_row(self):
-        missing = _knobs_read() - set(_knob_table_rows())
+        names = {name for name, _ in _knob_table_rows()}
+        missing = (_knobs_read() | set(KNOBS)) - names
         assert not missing, f"undocumented knobs: {sorted(missing)}"
 
     def test_every_readme_row_names_a_knob_something_reads(self):
-        rows = _knob_table_rows()
-        assert len(rows) == len(set(rows)), "duplicate README knob rows"
-        stale = set(rows) - _knobs_read()
-        assert not stale, f"README rows nothing reads: {sorted(stale)}"
+        # a list, so a duplicated README row fails too
+        names = [name for name, _ in _knob_table_rows()]
+        assert names == list(KNOBS) + _BENCH_KNOBS
+        unread = set(KNOBS) - _settings_called()
+        assert not unread, f"table knobs nothing reads: {sorted(unread)}"
+        assert set(_BENCH_KNOBS) <= _knobs_read()
+
+    def test_readme_defaults_match_the_table(self):
+        rows = dict(_knob_table_rows())
+        for name, knob in KNOBS.items():
+            # the default is the parenthesized tail of the values cell
+            default = re.search(r"\(([^()]*)\)$", rows[name]).group(1)
+            if knob.default is None:
+                assert default.startswith("unset: `"), name
+            else:
+                shown = re.match(r"`([^`]*)`", default).group(1)
+                assert knob.parse(shown) == knob.default, name
+
+    def test_only_config_reads_the_environment(self):
+        src = _ROOT / "src" / "repro"
+        offenders = {
+            str(path.relative_to(src)): lines
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "config.py"
+            and (lines := _environ_reads(
+                path, allow_listing=path == src / "obs" / "export.py"))
+        }
+        assert not offenders, f"read REPRO_* through repro.config: {offenders}"
