@@ -6,6 +6,12 @@ knows which accesses hit and which sectors must be fetched from the next
 level.  Lines are 128 B with 32 B sectors (Table IV), matching the paper's
 GPU-style hierarchy: write-through, no-write-allocate L1; memory-side
 write-back L2 that also performs global atomics.
+
+That state is four ``[num_sets, ways]`` int64 arrays: the line tag (``-1``
+marks an empty way), the valid-sector and dirty-sector bitmasks, and the
+LRU stamp of the line's last touch (``0`` in empty ways).  The scalar
+:meth:`SectorCache.access` and the vectorized
+:meth:`SectorCache.access_batch` read and write the same arrays.
 """
 
 from __future__ import annotations
@@ -17,13 +23,7 @@ import numpy as np
 from repro.config import CacheConfig
 from repro.sim.stats import StatsRegistry
 
-
-@dataclass
-class _Line:
-    tag: int
-    valid_sectors: int = 0          # bitmask over sectors in the line
-    dirty_sectors: int = 0
-    lru_stamp: int = 0
+_EMPTY = -1                              # tag of an empty way
 
 
 @dataclass
@@ -51,7 +51,8 @@ class BatchAccessResult:
     ``fill_idx`` are batch positions whose sector must be supplied by the
     next level (in stream order); ``wb_idx``/``wb_addrs`` pair each dirty
     evicted sector with the batch position of the allocation that evicted
-    it, so the caller can interleave writeback traffic at the right time.
+    it (ordered by that position), so the caller can interleave writeback
+    traffic at the right time.
     """
 
     hit_mask: np.ndarray
@@ -76,10 +77,11 @@ class SectorCache:
         self.prefix = stats_prefix
         self.write_allocate = write_allocate
         self.write_back = write_back
-        # tag -> line per set: O(1) lookup, LRU via stamps on eviction only
-        self._sets: list[dict[int, _Line]] = [
-            {} for _ in range(config.num_sets)
-        ]
+        shape = (config.num_sets, config.ways)
+        self._tag = np.full(shape, _EMPTY, dtype=np.int64)
+        self._valid = np.zeros(shape, dtype=np.int64)
+        self._dirty = np.zeros(shape, dtype=np.int64)
+        self._lru = np.zeros(shape, dtype=np.int64)
         self._stamp = 0
         self.sectors_per_line = config.line_bytes // config.sector_bytes
 
@@ -93,9 +95,9 @@ class SectorCache:
         sector_index = (addr % self.config.line_bytes) // self.config.sector_bytes
         return set_index, tag, sector_index
 
-    def _touch(self, line: _Line) -> None:
+    def _touch(self, set_index: int, way: int) -> None:
         self._stamp += 1
-        line.lru_stamp = self._stamp
+        self._lru[set_index, way] = self._stamp
 
     def _sectors_touched(self, addr: int, size: int) -> list[int]:
         """Sector-aligned addresses covered by [addr, addr+size)."""
@@ -104,22 +106,24 @@ class SectorCache:
         last = ((addr + max(size, 1) - 1) // sector) * sector
         return list(range(first, last + sector, sector))
 
-    def _allocate_line(self, set_index: int, tag: int, result: AccessResult) -> _Line:
-        ways = self._sets[set_index]
-        if len(ways) >= self.config.ways:
-            victim = min(ways.values(), key=lambda line: line.lru_stamp)
-            if self.write_back and victim.dirty_sectors:
-                self._emit_writebacks(set_index, victim, result)
-            del ways[victim.tag]
-            self.stats.add(f"{self.prefix}.evictions")
-        line = _Line(tag=tag)
-        ways[tag] = line
-        return line
+    def _allocate_way(self, set_index: int, tags: list[int],
+                      result: AccessResult) -> int:
+        """Free a way of ``set_index`` (evicting its LRU line when the set
+        is full); ``tags`` is the set's tag row as a list."""
+        if _EMPTY in tags:
+            return tags.index(_EMPTY)
+        way = int(self._lru[set_index].argmin())
+        dirty = self._dirty.item(set_index, way)
+        if self.write_back and dirty:
+            self._emit_writebacks(set_index, tags[way], dirty, result)
+        self.stats.add(f"{self.prefix}.evictions")
+        return way
 
-    def _emit_writebacks(self, set_index: int, line: _Line, result: AccessResult) -> None:
-        line_addr = (line.tag * self.config.num_sets + set_index) * self.config.line_bytes
+    def _emit_writebacks(self, set_index: int, tag: int, dirty: int,
+                         result: AccessResult) -> None:
+        line_addr = (tag * self.config.num_sets + set_index) * self.config.line_bytes
         for idx in range(self.sectors_per_line):
-            if line.dirty_sectors & (1 << idx):
+            if dirty & (1 << idx):
                 result.writebacks.append(
                     (line_addr + idx * self.config.sector_bytes, self.config.sector_bytes)
                 )
@@ -136,17 +140,19 @@ class SectorCache:
 
     def _access_sector(self, sector_addr: int, is_write: bool, result: AccessResult) -> None:
         set_index, tag, sector_index = self._locate(sector_addr)
-        line = self._sets[set_index].get(tag)
+        # a 16-entry list scan beats a numpy compare for one lookup
+        tags = self._tag[set_index].tolist()
+        way = tags.index(tag) if tag in tags else -1
         bit = 1 << sector_index
         kind = "write" if is_write else "read"
 
-        if line is not None and line.valid_sectors & bit:
+        if way >= 0 and self._valid.item(set_index, way) & bit:
             self.stats.add(f"{self.prefix}.{kind}_hits")
             result.hit_sectors += 1
-            self._touch(line)
+            self._touch(set_index, way)
             if is_write:
                 if self.write_back:
-                    line.dirty_sectors |= bit
+                    self._dirty[set_index, way] |= bit
                 else:
                     # write-through: data goes to next level as well
                     result.missing_sectors.append(
@@ -160,12 +166,16 @@ class SectorCache:
             result.missing_sectors.append((sector_addr, self.config.sector_bytes))
             return
 
-        if line is None:
-            line = self._allocate_line(set_index, tag, result)
-        line.valid_sectors |= bit
+        if way < 0:
+            way = self._allocate_way(set_index, tags, result)
+            self._tag[set_index, way] = tag
+            self._valid[set_index, way] = bit
+            self._dirty[set_index, way] = 0
+        else:
+            self._valid[set_index, way] |= bit
         if is_write and self.write_back:
-            line.dirty_sectors |= bit
-        self._touch(line)
+            self._dirty[set_index, way] |= bit
+        self._touch(set_index, way)
         result.missing_sectors.append((sector_addr, self.config.sector_bytes))
 
     # ------------------------------------------------------------------
@@ -177,10 +187,12 @@ class SectorCache:
         Each element is one sector-aligned, sector-sized access.  The
         classification, install, dirty and eviction behaviour mirrors
         calling :meth:`access` per element, computed with numpy index
-        arrays plus one small Python pass over the *unique lines* (not the
-        accesses).  Two deliberate approximations for streams whose
-        footprint exceeds the cache (documented because the sequential
-        path would differ slightly):
+        arrays over the unique lines of the stream: one broadcast tag
+        compare for lookup, one ``argsort`` over the overflowing sets'
+        LRU stamps for victim order, and scatters for install.  Two
+        deliberate approximations for streams whose footprint exceeds the
+        cache (documented because the sequential path would differ
+        slightly):
 
         * a line touched earlier in the batch is assumed still resident
           when re-touched later (re-touches refresh LRU recency, so the
@@ -207,184 +219,171 @@ class SectorCache:
             )
         cfg = self.config
         spl = self.sectors_per_line
+        # one stable sort by sector groups repeats of a sector (earliest
+        # first) and, since lines are runs of sectors, the lines too
         sector_ids = sector_addrs // cfg.sector_bytes
-        line_ids = sector_ids // spl
-        sector_idx = sector_ids - line_ids * spl
-        bit = (np.int64(1) << sector_idx)
+        order = np.argsort(sector_ids, kind="stable")
+        sid = sector_ids[order]
+        lid = sid // spl
+        bit = np.int64(1) << (sid - lid * spl)
+        w = np.asarray(is_write, dtype=bool)[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(sid[1:], sid[:-1], out=first[1:])
+        line_start = np.empty(n, dtype=bool)
+        line_start[0] = True
+        np.not_equal(lid[1:], lid[:-1], out=line_start[1:])
+        seg_starts = np.flatnonzero(line_start)
+        line_of = np.cumsum(line_start) - 1
 
-        _, sec_first = np.unique(sector_ids, return_index=True)
-        first_mask = np.zeros(n, dtype=bool)
-        first_mask[sec_first] = True
-
-        uniq_lines, line_inv = np.unique(line_ids, return_inverse=True)
-        m = len(uniq_lines)
+        uniq_lines = lid[seg_starts]
         sets_arr = uniq_lines % cfg.num_sets
         tags_arr = uniq_lines // cfg.num_sets
-        # one Python pass over the unique lines; .tolist() gives native
-        # ints (numpy scalars hash an order of magnitude slower)
-        sets_list = sets_arr.tolist()
-        tags_list = tags_arr.tolist()
-        all_sets = self._sets
-        lines = [all_sets[s].get(t) for s, t in zip(sets_list, tags_list)]
-        resident = np.fromiter((ln is not None for ln in lines), bool, m)
-        valid_pre = np.fromiter(
-            (ln.valid_sectors if ln is not None else 0 for ln in lines),
-            np.int64, m,
-        )
-        hit = (~first_mask) | (
-            resident[line_inv] & ((valid_pre[line_inv] & bit) != 0)
-        )
-        w = np.asarray(is_write, dtype=bool)
+        # a line matches at most one way of its set
+        match = np.flatnonzero(
+            self._tag.take(sets_arr, axis=0) == tags_arr[:, None])
+        res, rw = np.divmod(match, cfg.ways)
+        rs = sets_arr[res]
+        valid_pre = np.zeros(uniq_lines.size, dtype=np.int64)
+        valid_pre[res] = self._valid[rs, rw]
+        hit_s = ~first | ((valid_pre[line_of] & bit) != 0)
+        hits = int(np.count_nonzero(hit_s))
+        writes = int(np.count_nonzero(w))
+        write_hits = int(np.count_nonzero(hit_s & w))
         for name, count in (
-            ("read_hits", int(np.count_nonzero(hit & ~w))),
-            ("write_hits", int(np.count_nonzero(hit & w))),
-            ("read_misses", int(np.count_nonzero(~hit & ~w))),
-            ("write_misses", int(np.count_nonzero(~hit & w))),
+            ("read_hits", hits - write_hits),
+            ("write_hits", write_hits),
+            ("read_misses", n - hits - writes + write_hits),
+            ("write_misses", writes - write_hits),
         ):
             if count:
                 self.stats.add(f"{self.prefix}.{name}", count)
+        hit = np.empty(n, dtype=bool)
+        hit[order] = hit_s
 
         # per-line aggregates over the batch
-        order = np.argsort(line_inv, kind="stable")
-        seg_starts = np.flatnonzero(
-            np.diff(line_inv[order], prepend=np.int64(-1))
-        )
-        positions = np.arange(n, dtype=np.int64)[order]
-        valid_or = np.bitwise_or.reduceat(bit[order], seg_starts)
+        valid_or = np.bitwise_or.reduceat(bit, seg_starts)
         dirty_or = np.bitwise_or.reduceat(
-            np.where(w, bit, np.int64(0))[order], seg_starts
+            np.where(w, bit, np.int64(0)), seg_starts
         )
-        first_occ = np.minimum.reduceat(positions, seg_starts)
-        last_occ = np.maximum.reduceat(positions, seg_starts)
-
-        base_stamp = self._stamp
+        first_occ = np.minimum.reduceat(order, seg_starts)
+        last_occ = np.maximum.reduceat(order, seg_starts)
+        new_stamp = last_occ + (self._stamp + 1)
         self._stamp += n
-        wb_idx: list[int] = []
-        wb_addrs: list[int] = []
-        transient: set[int] = set()
-        new_mask = ~resident
-        if new_mask.any():
-            self._evict_for_batch(
-                sets_arr, tags_arr, resident, first_occ, last_occ,
-                dirty_or, new_mask, wb_idx, wb_addrs, transient,
-            )
-        valid_list = valid_or.tolist()
-        dirty_list = dirty_or.tolist()
-        stamp_list = (last_occ + (base_stamp + 1)).tolist()
-        for i in range(m):
-            if i in transient:
-                continue
-            line = lines[i]
-            if line is None:
-                line = _Line(tag=tags_list[i])
-                all_sets[sets_list[i]][line.tag] = line
-            line.valid_sectors |= valid_list[i]
-            line.dirty_sectors |= dirty_list[i]
-            line.lru_stamp = stamp_list[i]
 
+        # resident lines first: their refreshed stamps (all newer than any
+        # untouched line's) then order the victim choice below
+        self._valid[rs, rw] |= valid_or[res]
+        self._dirty[rs, rw] |= dirty_or[res]
+        self._lru[rs, rw] = new_stamp[res]
+
+        wb_idx = wb_addrs = np.empty(0, dtype=np.int64)
+        new = np.ones(uniq_lines.size, dtype=bool)
+        new[res] = False
+        new = np.flatnonzero(new)
+        if new.size:
+            wb_idx, wb_addrs = self._install_batch_lines(
+                new, sets_arr, tags_arr, first_occ, valid_or, dirty_or,
+                new_stamp,
+            )
         return BatchAccessResult(
             hit_mask=hit,
             fill_idx=np.flatnonzero(~hit),
-            wb_idx=np.asarray(wb_idx, dtype=np.int64),
-            wb_addrs=np.asarray(wb_addrs, dtype=np.int64),
+            wb_idx=wb_idx,
+            wb_addrs=wb_addrs,
         )
 
-    def _evict_for_batch(self, sets_arr, tags_arr, resident, first_occ,
-                         last_occ, dirty_or, new_mask, wb_idx, wb_addrs,
-                         transient) -> None:
-        """Retire LRU victims for every set a batch pushes past capacity.
+    def _install_batch_lines(self, new, sets_arr, tags_arr, first_occ,
+                             valid_or, dirty_or, new_stamp
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """Install a batch's new lines, retiring victims where a set
+        overflows; returns the writebacks as ``(wb_idx, wb_addrs)``.
 
-        Victim ``j`` (0-based, after the set's free ways are consumed) is
-        evicted by the ``j``-th over-capacity allocation, so its dirty
-        sectors write back at that allocation's position in the stream —
-        the same interleaving the sequential path produces.  New lines
-        are grouped per set with one lexsort up front; the Python loop
-        below runs only over sets that actually overflow.
+        In a set with ``c`` new lines (ranked by first occurrence) and
+        ``free`` empty ways, the new line of rank ``free + j`` evicts
+        victim ``j`` at its first occurrence.  Victims are the set's
+        residents in LRU order (untouched lines by stamp, then lines
+        re-touched this batch by last touch), then the set's earliest new
+        lines themselves (installed, then evicted: *transient* lines).
         """
         cfg = self.config
-        new_idx = np.flatnonzero(new_mask)
-        order = np.lexsort((first_occ[new_idx], sets_arr[new_idx]))
-        new_sorted = new_idx[order]
-        s_sorted = sets_arr[new_sorted]
-        bounds = np.flatnonzero(
-            np.diff(s_sorted, prepend=s_sorted[0] - 1)
-        ).tolist() + [len(s_sorted)]
-        touched_by_set: dict[int, list[int]] | None = None
-        evictions = 0
-        writebacks = 0
-        for bi in range(len(bounds) - 1):
-            lo, hi = bounds[bi], bounds[bi + 1]
-            s = int(s_sorted[lo])
-            ways = self._sets[s]
-            free = cfg.ways - len(ways)
-            n_evict = (hi - lo) - free
-            if n_evict <= 0:
-                continue
-            sel = new_sorted[lo:hi]           # ordered by first occurrence
-            alloc_ks = first_occ[sel[free:]].tolist()
-            if touched_by_set is None:
-                # built once, lazily: resident lines re-touched this
-                # batch, grouped by set in last-touch order
-                touched_by_set = {}
-                res_idx = np.flatnonzero(resident)
-                res_order = np.lexsort((last_occ[res_idx],
-                                        sets_arr[res_idx]))
-                for i in res_idx[res_order].tolist():
-                    touched_by_set.setdefault(int(sets_arr[i]), []).append(i)
-            touched = touched_by_set.get(s, [])
-            touched_tags = {int(tags_arr[i]) for i in touched}
-            victims: list[tuple[object, int | None]] = [
-                (ln, None) for ln in sorted(
-                    (ln for t, ln in ways.items() if t not in touched_tags),
-                    key=lambda ln: ln.lru_stamp,
-                )
-            ]
-            if n_evict > len(victims):
-                # deep overflow: resident lines re-touched this batch go
-                # next (ordered by their last touch), then the earliest
-                # batch lines themselves (installed, then evicted)
-                victims.extend((ways[int(tags_arr[i])], i) for i in touched)
-            if n_evict > len(victims):
-                for i in sel[:n_evict - len(victims)].tolist():
-                    victims.append((None, i))
-            for j, (line, uniq_i) in enumerate(victims[:n_evict]):
-                k = alloc_ks[j]
-                if uniq_i is not None:
-                    transient.add(uniq_i)
-                dirty = 0
-                if line is not None:
-                    dirty = line.dirty_sectors
-                    line_addr = (line.tag * cfg.num_sets + s) \
-                        * cfg.line_bytes
-                    del ways[line.tag]
-                if uniq_i is not None:
-                    dirty |= int(dirty_or[uniq_i])
-                    line_addr = (int(tags_arr[uniq_i]) * cfg.num_sets
-                                 + s) * cfg.line_bytes
-                evictions += 1
-                if dirty:
-                    writebacks += 1
-                    for idx in range(self.sectors_per_line):
-                        if dirty & (1 << idx):
-                            wb_idx.append(k)
-                            wb_addrs.append(
-                                line_addr + idx * cfg.sector_bytes
-                            )
-        if evictions:
-            self.stats.add(f"{self.prefix}.evictions", evictions)
-        if writebacks:
-            self.stats.add(f"{self.prefix}.writebacks", writebacks)
+        ways = cfg.ways
+        # new lines grouped by set, ordered by first occurrence
+        new = new[np.lexsort((first_occ[new], sets_arr[new]))]
+        s_new = sets_arr[new]
+        starts = np.flatnonzero(np.diff(s_new, prepend=np.int64(-1)))
+        counts = np.diff(np.append(starts, new.size))
+        seg_sets = s_new[starts]
+        seg_of = np.repeat(np.arange(starts.size), counts)
+        rank = np.arange(new.size) - starts[seg_of]
+        occupied = self._tag[seg_sets] != _EMPTY
+        occ = np.count_nonzero(occupied, axis=1)
+        free = ways - occ
+        n_evict = counts - free
+
+        # resident victims: the first min(n_evict, occ) ways of each
+        # overflowing set in LRU order (empty ways sort last)
+        over = np.flatnonzero(n_evict > 0)
+        keys = np.where(occupied[over], self._lru[seg_sets[over]],
+                        np.iinfo(np.int64).max)
+        lru_order = np.argsort(keys, axis=1)
+        n_res = np.minimum(n_evict[over], occ[over])
+        rows, j = np.nonzero(np.arange(ways) < n_res[:, None])
+        v_sets = seg_sets[over][rows]
+        v_ways = lru_order[rows, j]
+        v_k = first_occ[new[starts[over][rows] + free[over][rows] + j]]
+        v_tags = self._tag[v_sets, v_ways]
+        v_dirty = self._dirty[v_sets, v_ways]
+        self._tag[v_sets, v_ways] = _EMPTY
+        for arr in (self._valid, self._dirty, self._lru):
+            arr[v_sets, v_ways] = 0
+
+        # transient victims: the first c - ways new lines of a set, each
+        # evicted by the new line ``ways`` ranks later
+        n_trans = np.maximum(counts - ways, 0)[seg_of]
+        trans = rank < n_trans
+        t_pos = np.flatnonzero(trans)
+        t_lines = new[t_pos]
+        t_k = first_occ[new[t_pos + ways]]
+
+        # the rest fill the empty ways of their set in rank order
+        keep = new[~trans]
+        keep_seg = seg_of[~trans]
+        empty = self._tag[seg_sets] == _EMPTY
+        _, empty_ways = np.nonzero(empty)
+        per_row = np.count_nonzero(empty, axis=1)
+        row_off = np.cumsum(per_row) - per_row
+        slot = empty_ways[row_off[keep_seg] + (rank - n_trans)[~trans]]
+        k_sets = sets_arr[keep]
+        self._tag[k_sets, slot] = tags_arr[keep]
+        self._valid[k_sets, slot] = valid_or[keep]
+        self._dirty[k_sets, slot] = dirty_or[keep]
+        self._lru[k_sets, slot] = new_stamp[keep]
+
+        evict_k = np.concatenate([v_k, t_k])
+        evict_dirty = np.concatenate([v_dirty, dirty_or[t_lines]])
+        evict_line = np.concatenate([v_tags, tags_arr[t_lines]]) \
+            * cfg.num_sets + np.concatenate([v_sets, sets_arr[t_lines]])
+        if evict_k.size:
+            self.stats.add(f"{self.prefix}.evictions", int(evict_k.size))
+        dirty = np.flatnonzero(evict_dirty)
+        if not dirty.size:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        self.stats.add(f"{self.prefix}.writebacks", int(dirty.size))
+        dirty = dirty[np.argsort(evict_k[dirty])]
+        victim, sector = np.nonzero(
+            (evict_dirty[dirty][:, None] >> np.arange(self.sectors_per_line))
+            & 1
+        )
+        wb_idx = evict_k[dirty][victim]
+        wb_addrs = evict_line[dirty][victim] * cfg.line_bytes \
+            + sector * cfg.sector_bytes
+        return wb_idx, wb_addrs
 
     # ------------------------------------------------------------------
 
-    def invalidate_all(self) -> int:
-        """Drop every line (instruction-cache flush on unregister, §III-F)."""
-        dropped = sum(len(ways) for ways in self._sets)
-        self._sets = [{} for _ in range(self.config.num_sets)]
-        return dropped
-
     def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return int(np.count_nonzero(self._tag != _EMPTY))
 
     def hit_rate(self) -> float:
         hits = self.stats.get(f"{self.prefix}.read_hits") + self.stats.get(

@@ -13,11 +13,15 @@ serialize their own accesses; different banks and channels overlap — which
 is exactly the behaviour that lets many concurrent µthreads (or GPU warps)
 saturate aggregate bandwidth while a single pointer-chasing thread sees the
 full random-access latency.
+
+Bank state is three flat arrays indexed by ``channel * banks_per_channel +
+bank``: the open row (``-1`` when the bank is precharged), the earliest time
+the bank accepts a command, and the time of its last activate.  The scalar
+:meth:`DRAMModel.access` and the vectorized :meth:`DRAMModel.access_batch`
+read and write the same arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +30,8 @@ from repro.mem.layout import AddressLayout
 from repro.sim.engine import BandwidthServer, segmented_queue_finish
 from repro.sim.stats import StatsRegistry
 
-
-@dataclass
-class _Bank:
-    open_row: int | None = None
-    ready_ns: float = 0.0          # earliest time the bank accepts a command
-    last_activate_ns: float = field(default=-1e18)
+_CLOSED = -1                    # open_row of a precharged bank
+_NEVER = -1e18                  # last_activate_ns of a never-activated bank
 
 
 class DRAMModel:
@@ -47,10 +47,11 @@ class DRAMModel:
         self.layout = AddressLayout(config)
         self.stats = stats if stats is not None else StatsRegistry()
         self.prefix = stats_prefix
-        self._banks = [
-            [_Bank() for _ in range(config.banks_per_channel)]
-            for _ in range(config.channels)
-        ]
+        n_banks = config.channels * config.banks_per_channel
+        self._open_row = np.full(n_banks, _CLOSED, dtype=np.int64)
+        self._ready_ns = np.zeros(n_banks)
+        self._last_activate_ns = np.full(n_banks, _NEVER)
+        self._bank_key = np.min_scalar_type(n_banks - 1)
         self._buses = [
             BandwidthServer(config.channel_bw_bytes_per_ns)
             for _ in range(config.channels)
@@ -71,27 +72,29 @@ class DRAMModel:
 
     def _burst(self, addr: int, size: int, now_ns: float, is_write: bool) -> float:
         coords = self.layout.coordinates(addr)
-        bank = self._banks[coords.channel][coords.bank]
+        bank = coords.channel * self.config.banks_per_channel + coords.bank
         bus = self._buses[coords.channel]
         timing = self.config.timing
 
-        start = max(now_ns, bank.ready_ns)
-        if bank.open_row == coords.row:
+        start = max(now_ns, self._ready_ns.item(bank))
+        open_row = self._open_row.item(bank)
+        if open_row == coords.row:
             cas_done = start + timing.row_hit_ns
             self.stats.add(f"{self.prefix}.row_hits")
         else:
-            if bank.open_row is None:
-                activate = max(start, bank.last_activate_ns + timing.t_rc_ns)
+            gate = self._last_activate_ns.item(bank) + timing.t_rc_ns
+            if open_row == _CLOSED:
+                activate = max(start, gate)
                 self.stats.add(f"{self.prefix}.row_misses")
             else:
                 precharged = start + timing.row_conflict_extra_ns
-                activate = max(precharged, bank.last_activate_ns + timing.t_rc_ns)
+                activate = max(precharged, gate)
                 self.stats.add(f"{self.prefix}.row_conflicts")
-            bank.last_activate_ns = activate
-            bank.open_row = coords.row
+            self._last_activate_ns[bank] = activate
+            self._open_row[bank] = coords.row
             cas_done = activate + timing.row_miss_ns
         finish = bus.transfer(cas_done, size)
-        bank.ready_ns = cas_done  # bank can pipeline the next CAS once issued
+        self._ready_ns[bank] = cas_done  # bank can pipeline the next CAS once issued
 
         kind = "writes" if is_write else "reads"
         self.stats.add(f"{self.prefix}.{kind}")
@@ -130,7 +133,8 @@ class DRAMModel:
         channel, bank, row = self.layout.coordinates_batch(bursts)
         gid = channel * self.config.banks_per_channel + bank
 
-        order = np.argsort(gid, kind="stable")
+        # narrow keys let numpy's stable argsort use radix sort
+        order = np.argsort(gid.astype(self._bank_key), kind="stable")
         g_s = gid[order]
         row_s = row[order]
         t_s = np.asarray(arrivals_ns, dtype=np.float64)[order]
@@ -139,21 +143,15 @@ class DRAMModel:
         marker[starts] = 1
         seg_of = np.cumsum(marker) - 1
         touched = g_s[starts]
-        banks = [self._banks[int(g) // self.config.banks_per_channel]
-                 [int(g) % self.config.banks_per_channel] for g in touched]
 
         # row classification along each bank's access chain
         prev_row = np.empty(n, dtype=np.int64)
         prev_row[1:] = row_s[:-1]
-        open_rows = np.array(
-            [-1 if b.open_row is None else b.open_row for b in banks],
-            dtype=np.int64,
-        )
-        closed0 = np.array([b.open_row is None for b in banks])
+        open_rows = self._open_row[touched]
         prev_row[starts] = open_rows
         hit = row_s == prev_row
         closed = np.zeros(n, dtype=bool)
-        closed[starts] = closed0
+        closed[starts] = open_rows == _CLOSED
         conflict = ~hit & ~closed
         miss_type = ~hit
 
@@ -165,36 +163,35 @@ class DRAMModel:
         b = a.copy()
         np.maximum(b, timing.t_rc_ns, out=b, where=miss_type & prev_miss)
 
-        init = np.empty(len(touched), dtype=np.float64)
-        for i, bk in enumerate(banks):
-            init[i] = bk.ready_ns
-            first = starts[i]
-            if miss_type[first]:
-                gated = bk.last_activate_ns + timing.t_rc_ns \
-                    + timing.row_miss_ns - b[first]
-                if gated > init[i]:
-                    init[i] = gated
+        init = self._ready_ns[touched]
+        gated = self._last_activate_ns[touched] + timing.t_rc_ns \
+            + timing.row_miss_ns - b[starts]
+        np.copyto(init, gated, where=miss_type[starts] & (gated > init))
         cas_s = segmented_queue_finish(t_s + a, b, seg_of, init)
 
         # write final bank state back (last access / last activate per bank)
         ends = np.append(starts[1:], n) - 1
         act_idx = np.where(miss_type, np.arange(n), -1)
         last_act = np.maximum.reduceat(act_idx, starts)
-        for i, bk in enumerate(banks):
-            bk.open_row = int(row_s[ends[i]])
-            bk.ready_ns = float(cas_s[ends[i]])
-            if last_act[i] >= 0:
-                bk.last_activate_ns = float(
-                    cas_s[last_act[i]] - timing.row_miss_ns
-                )
+        self._open_row[touched] = row_s[ends]
+        self._ready_ns[touched] = cas_s[ends]
+        activated = last_act >= 0
+        self._last_activate_ns[touched[activated]] = \
+            cas_s[last_act[activated]] - timing.row_miss_ns
 
-        # channel data buses, in original stream order
+        # channel data buses, each in original stream order
         cas = np.empty(n, dtype=np.float64)
         cas[order] = cas_s
+        by_ch = np.argsort(channel.astype(self._bank_key), kind="stable")
+        ch_s = channel[by_ch]
+        cas_ch = cas[by_ch]
+        fin_ch = np.empty(n, dtype=np.float64)
+        bounds = np.flatnonzero(np.diff(ch_s, prepend=ch_s[0] - 1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:] + [n]):
+            fin_ch[lo:hi] = self._buses[int(ch_s[lo])].charge_batch(
+                cas_ch[lo:hi], grain)
         finish = np.empty(n, dtype=np.float64)
-        for ch in np.unique(channel):
-            mask = channel == ch
-            finish[mask] = self._buses[int(ch)].charge_batch(cas[mask], grain)
+        finish[by_ch] = fin_ch
 
         writes = int(np.count_nonzero(is_write))
         for name, count in (
@@ -235,10 +232,8 @@ class DRAMModel:
         return self.config.timing.row_miss_ns + burst_ns
 
     def reset(self) -> None:
-        for channel in self._banks:
-            for bank in channel:
-                bank.open_row = None
-                bank.ready_ns = 0.0
-                bank.last_activate_ns = -1e18
+        self._open_row.fill(_CLOSED)
+        self._ready_ns.fill(0.0)
+        self._last_activate_ns.fill(_NEVER)
         for bus in self._buses:
             bus.reset()
