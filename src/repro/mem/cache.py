@@ -23,7 +23,7 @@ import numpy as np
 from repro.config import CacheConfig
 from repro.sim.stats import StatsRegistry
 
-_EMPTY = -1                              # tag of an empty way
+_EMPTY = -1                     # tag of an empty way
 
 
 @dataclass
@@ -140,7 +140,7 @@ class SectorCache:
 
     def _access_sector(self, sector_addr: int, is_write: bool, result: AccessResult) -> None:
         set_index, tag, sector_index = self._locate(sector_addr)
-        # a 16-entry list scan beats a numpy compare for one lookup
+        # scanning the set's few ways as a list beats a numpy compare
         tags = self._tag[set_index].tolist()
         way = tags.index(tag) if tag in tags else -1
         bit = 1 << sector_index
@@ -278,9 +278,9 @@ class SectorCache:
         self._lru[rs, rw] = new_stamp[res]
 
         wb_idx = wb_addrs = np.empty(0, dtype=np.int64)
-        new = np.ones(uniq_lines.size, dtype=bool)
-        new[res] = False
-        new = np.flatnonzero(new)
+        is_new = np.ones(uniq_lines.size, dtype=bool)
+        is_new[res] = False
+        new = np.flatnonzero(is_new)
         if new.size:
             wb_idx, wb_addrs = self._install_batch_lines(
                 new, sets_arr, tags_arr, first_occ, valid_or, dirty_or,

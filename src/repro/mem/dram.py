@@ -179,19 +179,13 @@ class DRAMModel:
         self._last_activate_ns[touched[activated]] = \
             cas_s[last_act[activated]] - timing.row_miss_ns
 
-        # channel data buses, each in original stream order
+        # channel data buses, in original stream order
         cas = np.empty(n, dtype=np.float64)
         cas[order] = cas_s
-        by_ch = np.argsort(channel.astype(self._bank_key), kind="stable")
-        ch_s = channel[by_ch]
-        cas_ch = cas[by_ch]
-        fin_ch = np.empty(n, dtype=np.float64)
-        bounds = np.flatnonzero(np.diff(ch_s, prepend=ch_s[0] - 1)).tolist()
-        for lo, hi in zip(bounds, bounds[1:] + [n]):
-            fin_ch[lo:hi] = self._buses[int(ch_s[lo])].charge_batch(
-                cas_ch[lo:hi], grain)
         finish = np.empty(n, dtype=np.float64)
-        finish[by_ch] = fin_ch
+        for ch in np.unique(channel):
+            mask = channel == ch
+            finish[mask] = self._buses[int(ch)].charge_batch(cas[mask], grain)
 
         writes = int(np.count_nonzero(is_write))
         for name, count in (
