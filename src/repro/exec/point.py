@@ -695,7 +695,7 @@ def _rec_vstore(walk: _LaneWalk, inst, result, pre) -> bool:
             taint.steps.append(("mem", pre, (("st", addr, size,
                                               ("pass", k)),)))
             return True
-    value = taint.value_spec(vt, raw)
+    value = taint.value_spec(taint._v_mix(inst.rd), raw)
     if value is None:
         return False
     taint.steps.append(("mem", pre, (("st", addr, size, value),)))

@@ -1,5 +1,6 @@
 """Engine differential test: every ALU, vector-ALU and reduction mnemonic,
-on every fast engine, byte-for-byte against the interpreter.
+and every load, store, vector load/store, ``vsetvli`` and branch
+mnemonic, on every fast engine, byte-for-byte against the interpreter.
 
 One kernel per mnemonic loads per-µthread operands from its pool slice,
 executes the mnemonic and stores every register it may have written.
@@ -9,6 +10,7 @@ the wrong length shows up as bytes).  The launch width picks the engine:
 256 µthreads take the launch-uniform walk, 48 (below the batch threshold
 but wider than the device's 32 units) the masked SIMT walk and 16 the
 point engine; the routing counters prove which engine actually ran.
+The memory and control kernels are described where they are built.
 """
 
 import functools
@@ -19,6 +21,7 @@ import pytest
 from repro.host.api import pack_args
 from repro.isa import vectorops as vo
 from repro.isa.encoding import OPCODES, OpClass
+from repro.isa.vector import vlmax
 from repro.workloads.base import make_platform
 
 #: Pool and output bytes per µthread.
@@ -209,15 +212,20 @@ def operands(mn: str) -> np.ndarray:
     return words.view(np.uint8).reshape(n, STRIDE)
 
 
-def run_kernel(source: str, data: np.ndarray, backend: str, n: int):
+def run_kernel(source: str, data: np.ndarray, backend: str, n: int,
+               table: np.ndarray | None = None):
     """Launch ``source`` over the first ``n`` slices of ``data``; returns
-    (platform, output bytes per µthread)."""
+    (platform, output bytes per µthread).  ``table``, when given, is
+    placed in memory and its address passed as the second argument."""
     platform = make_platform(backend=backend)
     runtime = platform.runtime
     pool = runtime.alloc_array(np.ascontiguousarray(data[:n]))
     out = runtime.alloc(n * STRIDE)
+    args = [out]
+    if table is not None:
+        args.append(runtime.alloc_array(table))
     runtime.run_kernel(source, pool, pool + n * STRIDE,
-                       args=pack_args(out), stride=STRIDE)
+                       args=pack_args(*args), stride=STRIDE)
     produced = runtime.read_array(out, np.uint8, n * STRIDE)
     return platform, produced.reshape(n, STRIDE)
 
@@ -301,3 +309,257 @@ def test_vl0_splat_writes_no_elements_on_simt_walk(splat):
     assert platform.stats.get("exec.simt_launches") == 1
     assert platform.stats.get("exec.point_launches", 0.0) == 0
     assert got == [0] * 48
+
+
+# ---------------------------------------------------------------------------
+# memory and control mnemonics
+# ---------------------------------------------------------------------------
+#
+# One kernel per mnemonic.  Loads read their µthread's operand slice at
+# aligned and unaligned offsets and store what they loaded; stores write
+# values loaded from the slice, at aligned and unaligned offsets, of
+# every width; vector loads and stores run at a partial, a clamped and a
+# zero vector length and at a mismatched SEW.  Branches and ``vsetvli``
+# have two variants.  The launch-uniform engine needs launch-uniform
+# branch outcomes and vector lengths (a divergent one hands the launch
+# to the SIMT engine), so its variant reads every operand pair from one
+# table shared by all µthreads.  The SIMT and point engines read
+# per-µthread operands from their slices, so their branches diverge.
+
+#: Every load, store, vector load/store, vsetvli and branch mnemonic.
+MEMORY_CONTROL = sorted(
+    mn for mn, spec in OPCODES.items()
+    if spec.op_class in (OpClass.LOAD, OpClass.STORE, OpClass.VLOAD,
+                         OpClass.VSTORE, OpClass.VSET, OpClass.BRANCH))
+
+#: Launch widths: the launch-uniform walk needs at least 64 µthreads.
+MEMORY_WIDTHS = {"uniform": 64, "simt": 48, "point": 16}
+
+#: Branch operand edges of the shared table: every ordered pair is one
+#: loop iteration of the launch-uniform variant.
+_BRANCH_EDGES = [0, 1, -1, 2, -(1 << 63), (1 << 63) - 1, -0x80000000,
+                 0xFFFFFFFF]
+
+#: Non-negative AVLs (a negative AVL is an error in the specification).
+_AVL_EDGES = [0, 1, 3, 4, 5, 8, 9, 31, 32, 33, 1 << 40, (1 << 63) - 1]
+
+_OUT = """
+.body
+    ld   x20, 0(x3)        // output base
+    add  x20, x20, x2      // this µthread's output slice
+"""
+
+
+def _body(lines: list[str]) -> str:
+    return _OUT + "".join(f"    {line}\n" for line in lines) + "    ret\n"
+
+
+def _width(mn: str) -> int:
+    """Element width in bits of ``vleN.v`` / ``vseN.v``."""
+    return int(mn[3:-2])
+
+
+def _load_kernel(mn: str) -> str:
+    fp = mn in vo.FP_LOADS
+    lines = []
+    for i, off in enumerate((0, 3, 8, 13, 64, 129, 248)):
+        if fp:
+            lines += [f"{mn} f4, {off}(x1)", f"fsd  f4, {8 * i}(x20)"]
+        else:
+            lines += [f"{mn} x6, {off}(x1)", f"sd   x6, {8 * i}(x20)"]
+    if not fp:
+        lines += [f"{mn} x0, 0(x1)", "sd   x0, 56(x20)"]
+    return _body(lines)
+
+
+def _store_kernel(mn: str) -> str:
+    fp = mn in vo.FP_STORES
+    reg = "f4" if fp else "x6"
+    lines = []
+    for i, off in enumerate((0, 11, 24, 37, 64, 101, 248)):
+        lines.append(f"fld  f4, {8 * i}(x1)" if fp else f"ld   x6, {8 * i}(x1)")
+        lines.append(f"{mn} {reg}, {off}(x20)")
+    if not fp:
+        lines.append(f"{mn} x0, 128(x20)")
+    return _body(lines)
+
+
+_AVLS = ["li   x7, 3", "li   x8, 1000", "li   x9, 0", "li   x10, 2"]
+
+
+def _vload_kernel(mn: str) -> str:
+    w = _width(mn)
+    return _body(_AVLS + [
+        f"vsetvli x0, x7, e{w}",
+        f"{mn} v1, 0(x1)",
+        f"vsetvli x0, x8, e{w}",
+        f"{mn} v2, 5(x1)",
+        f"vsetvli x0, x9, e{w}",
+        f"{mn} v3, 40(x1)",
+        "vsetvli x0, x10, e64",      # vl comes from the e64 configuration
+        f"{mn} v4, 77(x1)",
+        "vmv.x.s x6, v2",
+        "sd   x6, 128(x20)",
+        f"vsetvli x0, x8, e{w}",
+        f"vse{w}.v v1, 0(x20)",
+        f"vse{w}.v v2, 32(x20)",
+        f"vse{w}.v v3, 64(x20)",
+        f"vse{w}.v v4, 96(x20)",
+        "vmv.x.s x6, v2",
+        "sd   x6, 136(x20)",
+        "vsetvli x0, x8, e64",       # the element patterns as 64-bit words
+        "vse64.v v1, 144(x20)",
+        "vse64.v v2, 176(x20)",
+        "vse64.v v4, 208(x20)",
+    ])
+
+
+def _vstore_kernel(mn: str) -> str:
+    w = _width(mn)
+    return _body(_AVLS + [
+        "li   x11, 4",
+        "vsetvli x0, x11, e64",
+        "vle64.v v1, 0(x1)",
+        "vle64.v v2, 32(x1)",
+        f"vsetvli x0, x7, e{w}",
+        f"{mn} v1, 0(x20)",
+        f"vsetvli x0, x8, e{w}",     # past the four loaded elements
+        f"{mn} v1, 40(x20)",
+        f"{mn} v2, 77(x20)",
+        f"vsetvli x0, x9, e{w}",
+        f"{mn} v2, 120(x20)",
+        f"vsetvli x0, x8, e{w}",
+        f"vle{w}.v v3, 128(x1)",
+        f"{mn} v3, 160(x20)",
+        "vsetvli x0, x10, e64",      # a different SEW configures vl
+        f"{mn} v2, 200(x20)",
+    ])
+
+
+def _vset_kernel(lane_operands: bool) -> str:
+    widths = (8, 16, 32, 64)
+    lines = []
+    if lane_operands:
+        # per-µthread AVLs: only the returned vl, since any vector
+        # instruction under a divergent vl leaves the SIMT engine
+        for i in range(16):
+            lines += [f"ld   x4, {8 * i}(x1)",
+                      f"vsetvli x6, x4, e{widths[i % 4]}",
+                      f"sd   x6, {8 * i}(x20)"]
+        return _body(lines)
+    slot = 0
+    for i, w in enumerate(widths):
+        for avl in (0, 1, 3, 4, 5, 9, 32, 1 << 40):
+            lines += [f"li   x4, {avl}", f"vsetvli x6, x4, e{w}",
+                      f"sb   x6, {slot}(x20)"]
+            slot += 1
+        # the configured vl bounds the next vector write
+        lines += ["li   x4, 3", f"vsetvli x0, x4, e{w}", "vid.v v1",
+                  "li   x4, 1000", f"vsetvli x0, x4, e{w}",
+                  f"vse{w}.v v1, {32 + 32 * i}(x20)"]
+    return _body(lines)
+
+
+def _branch_kernel(mn: str, lane_operands: bool) -> str:
+    if mn == "j":
+        return _body(["li   x6, 7", "j    over", "li   x6, 9", "over:",
+                      "sd   x6, 0(x20)"])
+    pairs = 16 if lane_operands else len(_BRANCH_EDGES) ** 2
+    operands = ("x4, x5" if OPCODES[mn].fmt == "abl" else "x4")
+    return _body([
+        "mv   x21, x1" if lane_operands else "ld   x21, 8(x3)",
+        f"li   x22, {pairs}",
+        "loop:",
+        "ld   x4, 0(x21)",
+        "ld   x5, 8(x21)",
+        "li   x6, 1",
+        f"{mn} {operands}, taken",
+        "li   x6, 2",
+        "taken:",
+        "sb   x6, 0(x20)",
+        "addi x20, x20, 1",
+        "addi x21, x21, 16",
+        "addi x22, x22, -1",
+        "bnez x22, loop",
+    ])
+
+
+def _has_variants(mn: str) -> bool:
+    return OpClass.VSET is OPCODES[mn].op_class or (
+        OPCODES[mn].op_class is OpClass.BRANCH and mn != "j")
+
+
+def memory_control_kernel(mn: str, lane_operands: bool) -> str:
+    op = OPCODES[mn].op_class
+    if op is OpClass.LOAD:
+        return _load_kernel(mn)
+    if op is OpClass.STORE:
+        return _store_kernel(mn)
+    if op is OpClass.VLOAD:
+        return _vload_kernel(mn)
+    if op is OpClass.VSTORE:
+        return _vstore_kernel(mn)
+    if op is OpClass.VSET:
+        return _vset_kernel(lane_operands)
+    return _branch_kernel(mn, lane_operands)
+
+
+def memory_operands(mn: str) -> np.ndarray:
+    """(MAX_UTHREADS, STRIDE) bytes of per-µthread operands for ``mn``."""
+    rng = np.random.default_rng(sum(map(ord, mn)) + 7)
+    n = MAX_UTHREADS
+    op = OPCODES[mn].op_class
+    if op is OpClass.BRANCH:
+        a = np.asarray(_INT_EDGES)[rng.integers(0, len(_INT_EDGES), (n, 16))]
+        b = np.asarray(_INT_EDGES)[rng.integers(0, len(_INT_EDGES), (n, 16))]
+        b = np.where(rng.random((n, 16)) < 0.3, a, b)
+        words = np.stack([a, b], axis=-1).reshape(n, 32).astype(np.int64)
+    elif op is OpClass.VSET:
+        words = np.asarray(_AVL_EDGES, dtype=np.int64)[
+            rng.integers(0, len(_AVL_EDGES), (n, 32))]
+    elif mn == "fsw":
+        # the specification packs with ``struct``, which rejects finite
+        # values outside the float32 range
+        floats = _pick(rng, _FLOAT_EDGES + [np.inf, -np.inf, np.nan, 1e-45],
+                       rng.normal(0.0, 1e6, (n, 32)))
+        words = floats.view(np.int64)
+    else:
+        raw = rng.integers(0, 256, (n, STRIDE), dtype=np.uint8)
+        edge = np.array([0x00, 0x7F, 0x80, 0xFF],
+                        dtype=np.uint8)[rng.integers(0, 4, (n, STRIDE))]
+        return np.where(rng.random((n, STRIDE)) < 0.5, edge, raw)
+    return np.ascontiguousarray(words).view(np.uint8).reshape(n, STRIDE)
+
+
+def _branch_table() -> np.ndarray:
+    a, b = np.meshgrid(_BRANCH_EDGES, _BRANCH_EDGES, indexing="ij")
+    return np.stack([a.ravel(), b.ravel()], axis=-1).astype(np.int64)
+
+
+def _memory_run(mn: str, backend: str, n: int, lane_operands: bool):
+    table = (_branch_table() if OPCODES[mn].op_class is OpClass.BRANCH
+             and not lane_operands else None)
+    return run_kernel(memory_control_kernel(mn, lane_operands),
+                      memory_operands(mn), backend, n, table)
+
+
+@functools.lru_cache(maxsize=None)
+def _memory_reference(mn: str, lane_operands: bool) -> np.ndarray:
+    n = max(MEMORY_WIDTHS.values())
+    _, produced = _memory_run(mn, "interpreter", n, lane_operands)
+    return produced
+
+
+@pytest.mark.parametrize("engine", sorted(MEMORY_WIDTHS))
+@pytest.mark.parametrize("mn", MEMORY_CONTROL)
+def test_memory_control_engine_matches_interpreter(mn, engine):
+    n = MEMORY_WIDTHS[engine]
+    _, ran, idle = ENGINES[engine]
+    lane_operands = engine != "uniform" and _has_variants(mn)
+    platform, got = _memory_run(mn, "batched", n, lane_operands)
+    stats = platform.stats
+    assert stats.get(ran) == 1, f"{mn} did not run on the {engine} engine"
+    for counter in idle:
+        assert stats.get(counter, 0.0) == 0, counter
+    want = _memory_reference(mn, lane_operands)[:n]
+    assert np.array_equal(got, want), _first_mismatch(got, want)
