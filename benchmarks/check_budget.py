@@ -29,7 +29,9 @@ Every budgeted wall field must exist on *both* sides: a field missing
 from the committed baseline fails the check (re-commit
 ``BENCH_smoke.json`` from a fresh ``benchmarks/smoke.py`` run), so a new
 smoke point can never go unbudgeted, and a field missing from the fresh
-run fails too.
+run fails too.  The fallback and speedup-floor fields need no committed
+baseline, but a fresh run that lacks one of them fails as well: a gate
+that reads nothing passes nothing.
 
 Usage::
 
@@ -125,7 +127,9 @@ def check(committed: dict, fresh: dict, factor: float) -> list[str]:
             )
     for field in ZERO_FALLBACK_FIELDS:
         now = _dig(fresh, field)
-        if now is not None and now != 0:
+        if now is None:
+            failures.append(f"{field}: missing from the fresh run")
+        elif now != 0:
             reasons = _dig(fresh, field.rsplit(".", 1)[0]
                            + ".fallback_reasons")
             failures.append(
@@ -134,7 +138,9 @@ def check(committed: dict, fresh: dict, factor: float) -> list[str]:
             )
     for field, floor in SPEEDUP_FLOOR_FIELDS.items():
         now = _dig(fresh, field)
-        if now is not None and now < floor:
+        if now is None:
+            failures.append(f"{field}: missing from the fresh run")
+        elif now < floor:
             failures.append(
                 f"{field}: {now:.2f}x below the {floor:.1f}x floor "
                 f"(the small-launch serving path regressed)"
