@@ -6,62 +6,51 @@ a kernel launch is executed against those models.  Two backends implement
 the common :class:`~repro.exec.base.ExecutionBackend` interface:
 
 ``interpreter``
-    The reference path: every instruction of every µthread is functionally
-    executed and individually charged to the sub-core issue servers, TLBs,
-    caches and DRAM banks.  Cycle-level FGMT behaviour (context occupancy,
-    spawn granularity, atomics interleaving) is bit-exact; cost is
-    O(µthreads x instructions) Python work per launch.
+    The reference path and the specification: every instruction of every
+    µthread is executed by :mod:`repro.isa.executor` and individually
+    charged to the sub-core issue servers, TLBs, caches and DRAM banks.
+    Cycle-level FGMT behaviour (context occupancy, spawn granularity,
+    atomics interleaving) is exact; cost is O(µthreads x instructions)
+    Python work per launch.
 
 ``batched``
-    The trace-once/replay-many fast path for bulk-synchronous launches
-    whose µthreads are structurally identical (the common case for the
-    paper's kernels: every body µthread runs the same code over a different
-    pool slice).  One representative µthread is interpreted to capture the
-    dynamic instruction trace; the remaining µthreads are then executed
-    *functionally* in one numpy-vectorized sweep (registers become arrays
-    over the launch), and *timing* is replayed analytically: the *trace's*
-    per-FU instruction counts bound issue throughput, and the launch's
-    sector-unique address stream is fed through the existing memory-side
-    L2 / banked-DRAM virtual-time models.  Results in memory are identical
-    to the interpreter's; launch runtime is a throughput/latency roofline
-    rather than an event-by-event schedule (see ``docs`` below).
+    Fast engines that still execute *every* µthread functionally, routed
+    per launch (:mod:`repro.exec.batched`).  Bulk branch-uniform launches
+    take the launch-uniform walk: registers become numpy arrays over the
+    launch and each decoded instruction runs once for all µthreads.
+    Initializer/finalizer phases, atomics, indexed gathers/scatters,
+    scratchpad state, µthread-divergent branches and sub-threshold sizes
+    take the masked **SIMT** walk (:mod:`repro.exec.simt`: active-mask
+    stack with post-dominator reconvergence, lane-ordered grouped AMOs,
+    per-unit scratchpad shadows).  Launches no wider than the device (one
+    µthread per unit) take the **point** engine (:mod:`repro.exec.point`).
+    Both vectorized walks execute every non-control instruction through
+    one core, :class:`repro.exec.simt.LaneOps`.  Results in memory are
+    byte-identical to the interpreter's.  Timing is analytic — issue
+    throughput, a latency floor and the launch's sector stream charged
+    through the real L2/DRAM models — so simulated runtime tracks the
+    interpreter without matching it; ``tests/exec/test_engine_timing.py``
+    records the error per engine.
 
 Backend selection
 -----------------
 
 * ``NDPConfig.backend`` (default ``"interpreter"``) picks the device-wide
-  default; the ``REPRO_EXEC_BACKEND`` environment variable overrides that
-  default, and an explicit ``backend=`` argument to
-  :func:`repro.workloads.base.make_platform` or ``M2NDPDevice`` always
-  wins (experiments pinned to the interpreter must not be overridden from
-  the environment).
-* Experiments default to ``REPRO_EXEC_BACKEND`` when it is set and to
-  ``batched`` otherwise (``repro.experiments.common.EXPERIMENT_BACKEND``);
-  since the SIMT engine the microarchitectural studies (Fig 6 context
-  occupancy, Fig 12a spawn granularity ablation) run unpinned on it as
-  well.
-* Inside the batched backend, launches route per class: bulk
-  branch-uniform launches take the launch-uniform trace/replay walk;
-  initializer/finalizer phases, atomics (AMO/VAMO), indexed
-  gathers/scatters, scratchpad state, µthread-divergent branches and
-  sub-threshold launch sizes run on the masked **SIMT engine**
-  (:mod:`repro.exec.simt`: active-mask stack with post-dominator
-  reconvergence, lane-ordered grouped AMOs, per-unit scratchpad shadows),
-  and launches no wider than the device (one µthread per unit) on the
-  **point engine** (:mod:`repro.exec.point`).  Both vectorized walks
-  execute register-only instructions through one shared core,
-  :class:`repro.exec.simt.LaneOps`.
-  Only translation faults, read-after-write races through memory,
-  order-sensitive atomic contention and unsupported instructions still
-  fall back to the interpreter — counted in ``exec.batched_fallbacks``
-  and attributed in ``exec.fallback_reason.<class>``; engine launches
-  land in ``exec.batched_launches`` / ``exec.simt_launches`` (point
-  launches also in ``exec.point_launches``).
-* Repeated launches of the same shape skip tracing entirely through the
+  default; ``REPRO_EXEC_BACKEND`` overrides that default, and an explicit
+  ``backend=`` argument to :func:`repro.workloads.base.make_platform` or
+  ``M2NDPDevice`` always wins.  Experiments default to
+  ``REPRO_EXEC_BACKEND`` when it is set and to ``batched`` otherwise
+  (``repro.experiments.common.EXPERIMENT_BACKEND``).
+* Only translation faults, read-after-write races through memory,
+  order-sensitive atomic contention and unsupported instructions fall
+  back to the interpreter — counted in ``exec.batched_fallbacks`` and
+  attributed in ``exec.fallback_reason.<class>``; engine launches land in
+  ``exec.batched_launches`` / ``exec.simt_launches`` (point launches also
+  in ``exec.point_launches``).
+* Repeated launches of the same shape skip tracing through the
   cross-launch :mod:`~repro.exec.trace_cache` (``exec.trace_cache_hits`` /
-  ``exec.trace_cache_misses``; disable with ``REPRO_TRACE_CACHE=0``) —
-  including divergent/atomic SIMT traces, which are verified against
-  their recorded mask schedule on every replay.
+  ``exec.trace_cache_misses``; disable with ``REPRO_TRACE_CACHE=0``); every
+  replay is verified against its recording.
 """
 
 from repro.exec.base import ExecutionBackend, make_backend

@@ -1,58 +1,50 @@
-"""Trace-once / replay-many batched execution backend.
+"""Batched execution backend: per-launch routing over the fast engines.
 
 The paper's kernels launch thousands of *structurally identical* µthreads:
 every body µthread runs the same code over a different stride-sized pool
-slice, and one launch is bulk-synchronous (§III-E/G).  This backend
-exploits that regularity with two vectorized engines:
+slice, and one launch is bulk-synchronous (§III-E/G).
+:class:`BatchedBackend` routes each launch to one of three engines:
 
-* **Launch-uniform walk** (this module): registers become arrays over the
-  whole launch (``x2`` is the vector ``[0, stride, 2*stride, ...]``), each
-  decoded instruction executes once for all µthreads, and control flow
-  follows the (verified) launch-uniform branch outcomes.  Memory results
-  are identical to the interpreter's — stores are buffered during the walk
-  and committed only when it succeeds.
+* **Launch-uniform walk** (:class:`_BatchReplay`, this module): registers
+  become arrays over the whole launch (``x2`` is the vector ``[0, stride,
+  2*stride, ...]``), each decoded instruction executes once for all
+  µthreads, and control flow follows the (verified) launch-uniform branch
+  outcomes.  Stores are buffered and committed only when the walk succeeds.
+* **Masked SIMT walk** (:mod:`repro.exec.simt`) for initializer/finalizer
+  phases, atomics, indexed gathers/scatters, scratchpad state,
+  µthread-divergent branches and sub-threshold launch sizes.
+* **Point engine** (:mod:`repro.exec.point`) for launches no wider than
+  the device.
 
-* **Masked SIMT walk** (:mod:`repro.exec.simt`): the formerly-fallback
-  launch classes — initializer/finalizer phases, atomics, indexed
-  gathers/scatters, scratchpad state, µthread-divergent branches,
-  sub-threshold launch sizes — execute as numpy lanes under an
-  active-mask stack with reconvergence at immediate post-dominators,
-  deterministic lane-ordered AMO grouping and per-unit scratchpad
-  shadows.  Only translation faults and genuine read-after-write races
-  through memory still reach the interpreter.  Both walks execute ALU,
-  vector-ALU and reduction instructions through the shared
-  :class:`~repro.exec.simt.LaneOps` core; the launch-uniform walk keeps
-  launch-uniform registers 0-d and never passes a lane mask.
+Both vectorized walks execute every non-control instruction — ALU,
+vector ALU, reductions, and the decode and byte packing of loads and
+stores — through the shared :class:`~repro.exec.simt.LaneOps` core; each
+walk supplies only its addressing, memory access and register-widening
+hooks.  Both run through one trace-cache attempt (:meth:`BatchedBackend.
+_attempt`): replay a cached recording, invalidate it on any divergence,
+retrace, store.  Cached replays verify every memory step's addresses
+(and, for SIMT, its mask schedule), so the cache never changes results.
 
-* **Timing** is replayed analytically from the recorded dynamic trace: the
-  per-FU instruction counts bound per-sub-core issue throughput, a
-  per-thread latency estimate bounds the wave depth, and the launch's
-  sector-unique global address stream is paced through the device's *real*
-  memory-side L2 and banked-DRAM virtual-time models via the bulk charge
-  APIs (``SectorCache.access_batch``, ``DRAMModel.access_batch``,
-  ``BandwidthServer.charge_batch``), so bandwidth saturation, row locality
-  and HDM back-invalidation still come from the existing servers.  Launch
-  runtime is a roofline ``max(issue throughput, memory system, latency x
-  waves)`` rather than an event-by-event FGMT schedule; it tracks the
-  interpreter closely but is not bit-identical.
-
-* **Repeats are nearly free**: every traced launch is recorded in the
-  cross-launch :mod:`~repro.exec.trace_cache` keyed by (kernel code hash,
-  pool region, stride, offset bias, ASID, argument bytes).  Uniform
-  launches cache their trace aggregates; SIMT launches additionally cache
-  the recorded *mask schedule*, verified lane-for-lane on every replay.
+**Timing** is analytic and engine-specific: per-FU instruction counts
+bound issue throughput, a per-thread latency estimate bounds the wave
+depth, and the launch's sector-unique global address stream is paced
+through the device's real memory-side L2 and banked-DRAM models
+(:func:`~repro.exec.simt.charge_stream`).  Launch runtime is a roofline
+``max(issue throughput, memory system, latency x waves)`` rather than an
+event-by-event FGMT schedule; it tracks the interpreter but is not
+identical to it.  All three engines end in one launch tail,
+:meth:`BatchedBackend.finish_launch`.
 
 Automatic fallback
 ------------------
 
 ``register_execution`` falls back to the inherited interpreter path (per
 launch, counted in ``exec.batched_fallbacks`` and attributed under
-``exec.fallback_reason.<class>``) only when neither engine can reproduce
-the interpreter's bytes: translation faults, read-after-write through
-memory (a load overlapping a buffered store, or cross-lane races the
-SIMT hazard detector refuses to order), order-sensitive atomic
-contention, trace-cap blowouts, and unsupported instructions.
-``REPRO_EXEC_BACKEND=interpreter`` runs every launch on the interpreter.
+``exec.fallback_reason.<class>``) only when no engine can reproduce the
+interpreter's bytes: translation faults, read-after-write through memory
+(a load overlapping a buffered store, or cross-lane races the SIMT hazard
+detector refuses to order), order-sensitive atomic contention, trace-cap
+blowouts, and unsupported instructions.
 """
 
 from __future__ import annotations
@@ -71,8 +63,8 @@ from repro.exec.simt import (
     LaunchFallback,
     SimtPlan,
     Translator,
-    merge_streams,
-    step_sectors,
+    charge_stream,
+    sector_stream,
 )
 from repro.exec.trace_cache import (
     CachedStep,
@@ -82,7 +74,6 @@ from repro.exec.trace_cache import (
     TraceEntry,
     trace_key,
 )
-from repro.isa import vectorops as vo
 from repro.isa.encoding import FUnit, Instruction, OpClass
 from repro.isa.vector import vlmax
 from repro.isa.vectorops import UnsupportedVectorOp
@@ -92,7 +83,6 @@ from repro.ndp.generator import (
     KernelExecution,
 )
 from repro.obs import tracer as obs_tracer
-from repro.ndp.tlb import PAGE_SHIFT
 from repro.ndp.unit import CROSSBAR_NS
 
 #: Launches smaller than this skip the launch-uniform walk: tracing cannot
@@ -146,25 +136,6 @@ class _StoreLog:
 # ---------------------------------------------------------------------------
 
 
-class _MemStep:
-    """One memory instruction of the trace, as executed by all µthreads."""
-
-    __slots__ = ("is_spad", "size", "is_write", "paddrs", "vaddrs")
-
-    def __init__(self, is_spad: bool, size: int, is_write: bool,
-                 paddrs: np.ndarray | None,
-                 vaddrs: np.ndarray | None = None) -> None:
-        self.is_spad = is_spad
-        self.size = size
-        self.is_write = is_write
-        self.paddrs = paddrs
-        self.vaddrs = vaddrs
-
-
-class _Done(Exception):
-    """Internal control-flow signal: the walk reached ``ret``."""
-
-
 class _BatchReplay(LaneOps):
     """Vectorized lockstep execution of one launch's body µthreads.
 
@@ -173,20 +144,28 @@ class _BatchReplay(LaneOps):
     have changed since the trace), but every memory step's freshly
     computed address vector is verified against the recorded one and the
     recorded translation reused — any divergence raises
-    :class:`StaleTrace` so the caller can retrace from scratch.
+    :class:`StaleTrace` so the caller can retrace from scratch.  After a
+    fresh walk ``entry`` holds the new recording.
     """
+
+    #: engine name in the ``exec.*`` launch and trace-cache counters
+    name = "batched"
+    entry_type = TraceEntry
 
     def __init__(self, device, execution: KernelExecution,
                  entry: TraceEntry | None = None) -> None:
         instance = execution.instance
         self.device = device
+        self.execution = execution
+        self.entry = entry
+        #: a replay is scheduled only once it verified, so it is a hit
+        self.cache_hit = entry is not None
         self.n = instance.num_body_uthreads
         self.program = instance.kernel.program.bodies[0]
         self.trace: list[Instruction] = []
-        self.mem_steps: list[_MemStep] = []
+        self.steps: list[CachedStep] = []
         self.log = _StoreLog()
         self.translator = Translator(device.page_table(instance.asid))
-        self._entry = entry
         self._mem_i = 0
         self._executed = 0
         spad = device.units[execution.unit_base].scratchpad
@@ -249,7 +228,16 @@ class _BatchReplay(LaneOps):
             raise LaunchFallback(f"µthread-divergent {what}", slug)
         return int(first)
 
-    # -- memory -----------------------------------------------------------
+    # -- memory (LaneOps hooks: the access handle is the address array) ---
+
+    def _access(self, inst: Instruction, mask=None) -> np.ndarray:
+        return np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
+
+    def _narrow(self, addr, reg: np.ndarray) -> np.ndarray:
+        return reg
+
+    def _widen(self, addr, values: np.ndarray) -> np.ndarray:
+        return values
 
     def _classify(self, addr: np.ndarray) -> bool:
         """True when the access vector targets the scratchpad window."""
@@ -264,7 +252,7 @@ class _BatchReplay(LaneOps):
 
     def _next_cached_step(self, is_spad: bool, size: int,
                           is_write: bool) -> CachedStep:
-        entry = self._entry
+        entry = self.entry
         if self._mem_i >= len(entry.steps):
             raise StaleTrace("more memory steps than the cached trace")
         step = entry.steps[self._mem_i]
@@ -286,10 +274,10 @@ class _BatchReplay(LaneOps):
                 raise LaunchFallback(
                     "scratchpad load outside the argument block",
                     "scratchpad")
-            if self._entry is not None:
+            if self.entry is not None:
                 self._next_cached_step(True, size, False)
             else:
-                self.mem_steps.append(_MemStep(True, size, False, None))
+                self.steps.append(CachedStep(True, size, False))
             # stat-free view: a mid-walk fallback must leave no counters
             # behind (the interpreter re-run charges them itself)
             view = self._spad.view()
@@ -297,7 +285,7 @@ class _BatchReplay(LaneOps):
             if addr.ndim == 0:
                 return view[int(offs):int(offs) + size].copy()
             return view[offs[:, None] + np.arange(size)]
-        if self._entry is not None:
+        if self.entry is not None:
             step = self._next_cached_step(False, size, False)
             if not np.array_equal(addr, step.vaddrs):
                 raise StaleTrace("load addresses diverged from cached trace")
@@ -309,7 +297,8 @@ class _BatchReplay(LaneOps):
             if self.log.overlaps(lo, hi):
                 raise LaunchFallback(
                     "load overlaps a buffered store (RAW via memory)", "raw")
-            self.mem_steps.append(_MemStep(False, size, False, paddrs, addr))
+            self.steps.append(CachedStep(False, size, False,
+                                         vaddrs=addr, paddrs=paddrs))
         return self.device.physical.gather_rows(paddrs, size)
 
     def _store(self, addr, data: np.ndarray) -> None:
@@ -319,7 +308,7 @@ class _BatchReplay(LaneOps):
             raise LaunchFallback("scratchpad store in kernel body",
                                  "scratchpad")
         size = data.shape[-1]
-        if self._entry is not None:
+        if self.entry is not None:
             step = self._next_cached_step(False, size, True)
             if not np.array_equal(addr, step.vaddrs):
                 raise StaleTrace("store addresses diverged from cached trace")
@@ -328,7 +317,8 @@ class _BatchReplay(LaneOps):
             paddrs = np.broadcast_to(
                 np.atleast_1d(self.translator.translate(addr)), (self.n,)
             )
-            self.mem_steps.append(_MemStep(False, size, True, paddrs, addr))
+            self.steps.append(CachedStep(False, size, True,
+                                         vaddrs=addr, paddrs=paddrs))
         rows = np.broadcast_to(
             data if data.ndim == 2 else data[None, :], (self.n, size)
         )
@@ -343,7 +333,7 @@ class _BatchReplay(LaneOps):
         instructions = self.program.instructions
         count = len(instructions)
         pc = 0
-        record = self._entry is None
+        record = self.entry is None
         with np.errstate(all="ignore"):
             try:
                 while pc < count:
@@ -353,89 +343,32 @@ class _BatchReplay(LaneOps):
                     self._executed += 1
                     if record:
                         self.trace.append(inst)
-                    pc = self._step(inst, pc)
-            except _Done:
-                pass
+                    op = inst.op_class
+                    if op is OpClass.BRANCH:
+                        pc = self._exec_branch(inst, pc)
+                        continue
+                    if op is OpClass.RET:
+                        break
+                    self._step(inst)
+                    pc += 1
             except UnsupportedVectorOp as exc:
                 raise LaunchFallback(str(exc)) from None
-        if not record and (self._executed != self._entry.trace_len
-                           or self._mem_i != len(self._entry.steps)):
+        if record:
+            self.entry = self._build_entry()
+        elif (self._executed != self.entry.trace_len
+                or self._mem_i != len(self.entry.steps)):
             raise StaleTrace("control flow diverged from cached trace")
         return self
 
-    def _step(self, inst: Instruction, pc: int) -> int:
-        op = inst.op_class
-        if op is OpClass.ALU:
-            self._exec_alu(inst)
-        elif op is OpClass.VALU_OP:
-            self._exec_valu(inst)
-        elif op is OpClass.BRANCH:
-            return self._exec_branch(inst, pc)
-        elif op is OpClass.LOAD:
-            self._exec_load(inst)
-        elif op is OpClass.STORE:
-            self._exec_store(inst)
-        elif op is OpClass.VLOAD:
-            self._exec_vload(inst)
-        elif op is OpClass.VSTORE:
-            self._exec_vstore(inst)
-        elif op is OpClass.VRED:
-            self._exec_vred(inst)
-        elif op is OpClass.VSET:
-            self._exec_vset(inst)
-        elif op is OpClass.FENCE:
-            pass
-        elif op is OpClass.RET:
-            raise _Done
-        else:
-            raise LaunchFallback(f"unsupported op class {op.value}")
-        return pc + 1
-
-    # -- control flow and memory ----------------------------------------
+    # -- control flow -------------------------------------------------------
 
     def _exec_branch(self, inst: Instruction, pc: int) -> int:
-        m = inst.mnemonic
-        if m == "j":
+        if inst.mnemonic == "j":
             return inst.target
-        if m in vo.BRANCHES:
-            cond = vo.BRANCHES[m](np.asarray(self.xr[inst.rs1]),
-                                  np.asarray(self.xr[inst.rs2]))
-        elif m in vo.BRANCHES_Z:
-            cond = vo.BRANCHES_Z[m](np.asarray(self.xr[inst.rs1]))
-        else:
-            raise LaunchFallback(f"unsupported branch {m}")
-        taken = bool(self._uniform_int(np.asarray(cond), "branch"))
+        taken = bool(self._uniform_int(self._branch_cond(inst), "branch"))
         return inst.target if taken else pc + 1
 
-    def _exec_load(self, inst: Instruction) -> None:
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        m = inst.mnemonic
-        if m in vo.FP_LOADS:
-            size = vo.FP_LOADS[m]
-            bits = vo.from_le_bytes(self._load(addr, size))
-            self._wf(inst.rd, vo.bits_to_float(bits, size * 8))
-            return
-        size = vo.LOAD_SIGNED.get(m) or vo.LOAD_UNSIGNED[m]
-        value = vo.from_le_bytes(self._load(addr, size))
-        if m in vo.LOAD_SIGNED:
-            self._wx(inst.rd, vo.sign_extend(value, size * 8))
-        else:
-            self._wx(inst.rd, value.astype(np.int64))
-
-    def _exec_store(self, inst: Instruction) -> None:
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        m = inst.mnemonic
-        if m in vo.FP_STORES:
-            size = vo.FP_STORES[m]
-            bits = vo.float_to_bits(self.fr[inst.rs2], size * 8)
-        else:
-            size = vo.STORES[m]
-            bits = np.asarray(self.xr[inst.rs2]).astype(np.uint64)
-        self._store(addr, vo.to_le_bytes(bits, size))
-
-    # -- vector -----------------------------------------------------------
-
-    def _exec_vset(self, inst: Instruction) -> None:
+    def _exec_vset(self, inst: Instruction, m=None) -> None:
         sew = inst.imm
         requested = self._uniform_int(np.asarray(self.xr[inst.rs1]),
                                       "vsetvli AVL", "vconfig")
@@ -446,27 +379,129 @@ class _BatchReplay(LaneOps):
         self.vl = vl
         self._wx(inst.rd, np.int64(vl))
 
-    def _exec_vload(self, inst: Instruction) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(None, sew)
-        if vl == 0:
-            self.vr[inst.rd] = np.zeros((0,), dtype=np.uint64)
-            return
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        raw = self._load(addr, vl * inst.size)
-        self.vr[inst.rd] = vo.from_le_bytes(
-            raw.reshape(raw.shape[:-1] + (vl, inst.size))
+    # -- timing -------------------------------------------------------------
+
+    def _build_entry(self) -> TraceEntry:
+        """Derive the reusable launch profile from a completed full walk."""
+        fu_counts: dict[FUnit, int] = {}
+        latency_cycles = 0
+        for inst in self.trace:
+            fu_counts[inst.unit] = fu_counts.get(inst.unit, 0) + 1
+            latency_cycles += inst.latency_cycles
+        global_steps = [step for step in self.steps if not step.is_spad]
+        merged_addrs, merged_writes, page_count, counts = sector_stream(
+            [(step.paddrs, step.size, step.is_write)
+             for step in global_steps],
+            self.device.config.l2.sector_bytes)
+        for step, sector_count in zip(global_steps, counts):
+            step.sector_count = sector_count
+        return TraceEntry(
+            translation_version=self.device.translation_version,
+            trace_len=len(self.trace),
+            latency_cycles=latency_cycles,
+            fu_counts=fu_counts,
+            steps=self.steps,
+            merged_addrs=merged_addrs,
+            merged_writes=merged_writes,
+            page_count=page_count,
         )
 
-    def _exec_vstore(self, inst: Instruction) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(None, sew)
-        if vl == 0:
-            return
-        addr = np.asarray(self.xr[inst.rs1]) + np.int64(inst.imm)
-        values = vo.to_pattern(self._read_v(inst.rd, vl).astype(np.int64), sew)
-        raw = vo.to_le_bytes(values, inst.size)
-        self._store(addr, raw.reshape(raw.shape[:-2] + (vl * inst.size,)))
+    def schedule(self, now_ns: float):
+        """Charge the launch as a roofline of issue throughput, latency x
+        waves and the memory system.
+
+        Returns ``(completion, instructions, µthreads, occupancy
+        samples)`` for the backend's shared launch tail.
+        """
+        device = self.device
+        execution = self.execution
+        entry = self.entry
+        n = self.n
+        cfg = device.config.ndp
+        stats = device.stats
+        trace_len = entry.trace_len
+        fu_counts = entry.fu_counts
+        period = cfg.clock.period_ns
+        start = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
+        # A partition-bound launch only sees (and only charges) its own
+        # unit window and its private L2/DRAM slice.
+        num_units = execution.num_units
+        units = device.units[execution.unit_base:
+                             execution.unit_base + num_units]
+
+        # --- issue-throughput bound (per sub-core, FGMT hides latency) ---
+        per_unit = math.ceil(n / num_units)
+        per_subcore = per_unit / cfg.subcores_per_unit
+        fu_width = {
+            FUnit.SALU: cfg.scalar_alus_per_subcore,
+            FUnit.VALU: cfg.vector_alus_per_subcore,
+        }
+        compute_ns = trace_len * per_subcore * period / cfg.issue_width
+        for fu, fu_count in fu_counts.items():
+            compute_ns = max(
+                compute_ns, fu_count * per_subcore * period / fu_width.get(fu, 1)
+            )
+        # Occupy the sub-cores' dispatch/FU issue servers with the whole
+        # launch in one bulk charge, so interpreter-path launches running
+        # concurrently observe this launch's issue pressure.
+        dispatch_ops = math.ceil(trace_len * per_subcore)
+        fu_ops = [(fu, math.ceil(c * per_subcore))
+                  for fu, c in fu_counts.items()]
+        for unit in units:
+            for subcore in unit.subcores:
+                subcore.dispatch.service_batch(start, dispatch_ops)
+                subcore.instructions_issued += dispatch_ops
+                for fu, ops in fu_ops:
+                    subcore.units[fu].service_batch(start, ops)
+
+        # --- traffic stats from the launch's step profile ----------------
+        for step in entry.steps:
+            if step.is_spad:
+                stats.add("ndp.spad_traffic_bytes", step.size * n)
+            else:
+                stats.add("ndp.global_traffic_bytes", step.size * n)
+                stats.add("ndp.global_accesses", n)
+
+        # --- latency floor: serial thread latency x occupancy waves ------
+        dram = (device.dram if execution.partition is None
+                else execution.partition.dram)
+        dram_lat = dram.typical_random_latency_ns()
+        l1_hit = cfg.l1d.hit_latency_ns
+        l2_hit = device.config.l2.hit_latency_ns
+        thread_lat = entry.latency_cycles * period
+        for step in entry.steps:
+            if step.is_spad:
+                thread_lat += units[0].scratchpad.latency_ns
+            elif step.is_write:
+                # posted write-through: the thread continues after L1
+                thread_lat += l1_hit
+            elif step.sector_count * 8 <= n:
+                # many threads share these sectors (e.g. gemv's activation
+                # vector): all but the first hit their unit's L1, so the
+                # typical thread's critical path pays a hit, not DRAM
+                thread_lat += l1_hit
+            else:
+                thread_lat += 2 * CROSSBAR_NS + l2_hit + dram_lat
+        slots_per_unit = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
+        waves = math.ceil(per_unit / slots_per_unit)
+        window = max(compute_ns, thread_lat * waves)
+
+        # --- memory-system bound: sector stream through the real L2/DRAM -
+        completion, mem_done = charge_stream(device, execution, entry, n,
+                                             start, window)
+
+        if obs_tracer.ENABLED:
+            tracer = obs_tracer.tracer_of(device.sim)
+            span = tracer.record(
+                "exec.batched", start, completion, pid=device.trace_pid,
+                instance=execution.instance.instance_id, uthreads=n,
+                trace_cache="hit" if self.cache_hit else "miss")
+            if mem_done is not None:
+                tracer.record("mem.charge", start, mem_done, parent=span,
+                              pid=device.trace_pid,
+                              sectors=entry.merged_addrs.size)
+        ratio = min(per_unit, slots_per_unit) / slots_per_unit
+        return completion, n * trace_len, n, [(start, ratio)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +554,16 @@ class BatchedBackend(InterpreterBackend):
         failure: LaunchFallback | None = None
         key = trace_key(execution) if cache.enabled else None
 
-        if why is None:
-            entry = (cache.lookup(key, device.translation_version)
-                     if cache.enabled else None)
-            # a SimtTraceEntry: this shape degraded to the SIMT engine on
-            # a prior launch, so go there directly
-            if not isinstance(entry, SimtTraceEntry):
-                failure = self._attempt_uniform(execution, key, entry, now_ns)
-                if failure is None:
-                    return
-                if failure.slug in _RETRY_SIMT_SLUGS:
-                    failure = None
+        # a SimtTraceEntry under the key: this shape degraded to the SIMT
+        # engine on a prior launch, so go there directly
+        if why is None and not isinstance(
+                cache.lookup(key, device.translation_version),
+                SimtTraceEntry):
+            failure = self._attempt(_BatchReplay, execution, key, now_ns)
+            if failure is None:
+                return
+            if failure.slug in _RETRY_SIMT_SLUGS:
+                failure = None
 
         if failure is None:
             # Point tier: launches no wider than the device (one µthread
@@ -540,7 +574,7 @@ class BatchedBackend(InterpreterBackend):
                     <= execution.num_units):
                 attempt_point(self, execution, now_ns)
                 return
-            failure = self._attempt_simt(execution, key, now_ns)
+            failure = self._attempt(SimtPlan, execution, key, now_ns)
             if failure is None:
                 return
 
@@ -555,235 +589,71 @@ class BatchedBackend(InterpreterBackend):
 
     # ------------------------------------------------------------------
 
-    def _attempt_uniform(self, execution: KernelExecution, key,
-                         entry: TraceEntry | None,
-                         now_ns: float) -> LaunchFallback | None:
-        """Launch-uniform tier; returns the fallback on failure."""
+    def _attempt(self, engine, execution: KernelExecution, key,
+                 now_ns: float) -> LaunchFallback | None:
+        """Run a launch on ``engine`` (:class:`_BatchReplay` or
+        :class:`SimtPlan`) through the trace cache.
+
+        A cached entry of the engine's type is replayed; a replay whose
+        control flow, addressing or mask schedule diverged from the
+        recording invalidates the entry, and the launch retraces from
+        scratch and stores the new recording.  Returns the fallback when
+        the engine cannot run the launch.
+        """
         device = self.device
         cache = self.trace_cache
+        stats = device.stats
+        entry = cache.lookup(key, device.translation_version)
         plan = None
-        cached = False
-        if entry is not None:
+        if isinstance(entry, engine.entry_type):
             try:
-                plan = _BatchReplay(device, execution, entry=entry).run()
-                device.stats.add("exec.trace_cache_hits")
-                device.stats.add("exec.trace_cache_hits_batched")
-                cached = True
-            except (StaleTrace, LaunchFallback, UnsupportedVectorOp):
-                # behaviour diverged from the recorded trace (data-
-                # dependent control flow or addressing): retrace
+                plan = engine(device, execution, entry).run()
+                stats.add("exec.trace_cache_hits")
+                stats.add(f"exec.trace_cache_hits_{engine.name}")
+            except (StaleTrace, LaunchFallback):
                 cache.invalidate(key)
                 plan = None
-                entry = None
         if plan is None:
             try:
-                plan = _BatchReplay(device, execution).run()
+                plan = engine(device, execution).run()
             except LaunchFallback as exc:
                 return exc
-            entry = self._build_entry(plan)
             if cache.enabled:
-                device.stats.add("exec.trace_cache_misses")
-                cache.store(key, entry)
-        device.stats.add("exec.batched_launches")
+                stats.add("exec.trace_cache_misses")
+                cache.store(key, plan.entry)
         plan.commit()
+        stats.add(f"exec.{engine.name}_launches")
+        self.finish_launch(execution, *plan.schedule(now_ns))
+        return None
+
+    def finish_launch(self, execution: KernelExecution, completion: float,
+                      instructions: int, uthreads: int,
+                      samples: list[tuple[float, float]]) -> None:
+        """The launch tail every engine shares.
+
+        Takes ownership of the launch, records the engine's occupancy
+        ``samples`` (``(time, ratio)``, in order) on its units, counts its
+        instructions and µthreads, and schedules the completion event.
+        """
+        device = self.device
+        stats = device.stats
+        instance = execution.instance
+        units = device.units[execution.unit_base:
+                             execution.unit_base + execution.num_units]
         # Take ownership of every µthread: a concurrent interpreter refill
         # (e.g. from a fallback launch) must not re-execute this launch.
         execution.consume_plan()
         self._active.append(execution)
-        self._schedule_completion(execution, plan.n, entry, now_ns, cached)
-        return None
-
-    def _attempt_simt(self, execution: KernelExecution, key,
-                      now_ns: float) -> LaunchFallback | None:
-        """Masked SIMT tier; returns the fallback on failure."""
-        device = self.device
-        cache = self.trace_cache
-        entry = (cache.lookup(key, device.translation_version)
-                 if cache.enabled else None)
-        if not isinstance(entry, SimtTraceEntry):
-            entry = None
-        plan = None
-        cached = False
-        if entry is not None:
-            try:
-                plan = SimtPlan(device, execution, entry=entry).run()
-                device.stats.add("exec.trace_cache_hits")
-                device.stats.add("exec.trace_cache_hits_simt")
-                cached = True
-            except (StaleTrace, LaunchFallback):
-                # mask schedule or addressing diverged: retrace from scratch
-                cache.invalidate(key)
-                plan = None
-        if plan is None:
-            try:
-                plan = SimtPlan(device, execution).run()
-            except LaunchFallback as exc:
-                return exc
-            if cache.enabled:
-                device.stats.add("exec.trace_cache_misses")
-                cache.store(key, SimtTraceEntry(
-                    translation_version=device.translation_version,
-                    profiles=plan.profiles,
-                ))
-        plan.commit()
-        device.stats.add("exec.simt_launches")
-        execution.consume_plan()
-        self._active.append(execution)
-        plan.cache_hit = cached
-        plan.schedule(now_ns)
-        return None
-
-    # ------------------------------------------------------------------
-
-    def _build_entry(self, plan: _BatchReplay) -> TraceEntry:
-        """Derive the reusable launch profile from a completed full walk."""
-        sector_bytes = self.device.config.l2.sector_bytes
-        fu_counts: dict[FUnit, int] = {}
-        latency_cycles = 0
-        for inst in plan.trace:
-            fu_counts[inst.unit] = fu_counts.get(inst.unit, 0) + 1
-            latency_cycles += inst.latency_cycles
-        steps: list[CachedStep] = []
-        streams: list[tuple[np.ndarray, bool]] = []
-        for ms in plan.mem_steps:
-            if ms.is_spad:
-                steps.append(CachedStep(True, ms.size, ms.is_write))
-                continue
-            sectors = step_sectors(ms.paddrs, ms.size, sector_bytes)
-            streams.append((sectors, ms.is_write))
-            steps.append(CachedStep(False, ms.size, ms.is_write,
-                                    vaddrs=ms.vaddrs, paddrs=ms.paddrs,
-                                    sector_count=len(sectors)))
-        merged_addrs, merged_writes = merge_streams(streams)
-        page_count = int(
-            np.unique(merged_addrs >> np.int64(PAGE_SHIFT)).size
-        ) if merged_addrs.size else 0
-        return TraceEntry(
-            translation_version=self.device.translation_version,
-            trace_len=len(plan.trace),
-            latency_cycles=latency_cycles,
-            fu_counts=fu_counts,
-            steps=steps,
-            merged_addrs=merged_addrs,
-            merged_writes=merged_writes,
-            page_count=page_count,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _schedule_completion(self, execution: KernelExecution, n: int,
-                             entry: TraceEntry, now_ns: float,
-                             cached: bool = False) -> None:
-        device = self.device
-        cfg = device.config.ndp
-        stats = device.stats
-        trace_len = entry.trace_len
-        fu_counts = entry.fu_counts
-        period = cfg.clock.period_ns
-        start = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
-        # A partition-bound launch only sees (and only charges) its own
-        # unit window and its private L2/DRAM slice.
-        num_units = execution.num_units
-        units = device.units[execution.unit_base:
-                             execution.unit_base + num_units]
-
-        # --- issue-throughput bound (per sub-core, FGMT hides latency) ---
-        per_unit = math.ceil(n / num_units)
-        per_subcore = per_unit / cfg.subcores_per_unit
-        fu_width = {
-            FUnit.SALU: cfg.scalar_alus_per_subcore,
-            FUnit.VALU: cfg.vector_alus_per_subcore,
-        }
-        compute_ns = trace_len * per_subcore * period / cfg.issue_width
-        for fu, fu_count in fu_counts.items():
-            compute_ns = max(
-                compute_ns, fu_count * per_subcore * period / fu_width.get(fu, 1)
-            )
-        # Occupy the sub-cores' dispatch/FU issue servers with the whole
-        # launch in one bulk charge, so interpreter-path launches running
-        # concurrently observe this launch's issue pressure.
-        dispatch_ops = math.ceil(trace_len * per_subcore)
-        fu_ops = [(fu, math.ceil(c * per_subcore))
-                  for fu, c in fu_counts.items()]
-        for unit in units:
-            for subcore in unit.subcores:
-                subcore.dispatch.service_batch(start, dispatch_ops)
-                subcore.instructions_issued += dispatch_ops
-                for fu, ops in fu_ops:
-                    subcore.units[fu].service_batch(start, ops)
-
-        # --- traffic stats from the launch's step profile ----------------
-        for step in entry.steps:
-            if step.is_spad:
-                stats.add("ndp.spad_traffic_bytes", step.size * n)
-            else:
-                stats.add("ndp.global_traffic_bytes", step.size * n)
-                stats.add("ndp.global_accesses", n)
-
-        # --- latency floor: serial thread latency x occupancy waves ------
-        unit0 = units[0]
-        dram = (device.dram if execution.partition is None
-                else execution.partition.dram)
-        dram_lat = dram.typical_random_latency_ns()
-        l1_hit = device.config.ndp.l1d.hit_latency_ns
-        l2_hit = device.config.l2.hit_latency_ns
-        thread_lat = entry.latency_cycles * period
-        for step in entry.steps:
-            if step.is_spad:
-                thread_lat += unit0.scratchpad.latency_ns
-            elif step.is_write:
-                # posted write-through: the thread continues after L1
-                thread_lat += l1_hit
-            elif step.sector_count * 8 <= n:
-                # many threads share these sectors (e.g. gemv's activation
-                # vector): all but the first hit their unit's L1, so the
-                # typical thread's critical path pays a hit, not DRAM
-                thread_lat += l1_hit
-            else:
-                thread_lat += 2 * CROSSBAR_NS + l2_hit + dram_lat
-        slots_per_unit = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
-        waves = math.ceil(per_unit / slots_per_unit)
-        window = max(compute_ns, thread_lat * waves)
-
-        # --- memory-system bound: sector stream through the real L2/DRAM -
-        completion = start + window
-        merged = entry.merged_addrs.size
-        mem_done = None
-        if merged:
-            # Every participating unit takes one on-chip TLB fill per page
-            # it touches; the pre-warmed DRAM-TLB serves them without DRAM
-            # traffic (§III-H), so only the stat is charged.
-            stats.add("ndp.tlb_fill", entry.page_count * min(num_units, n))
-            dt = window / merged
-            arrivals = start + dt * np.arange(merged)
-            mem_done = device.l2_dram_access_batch(
-                entry.merged_addrs, arrivals, entry.merged_writes,
-                partition=execution.partition,
-            )
-            completion = max(completion, mem_done)
-
-        # --- bookkeeping + completion event ------------------------------
-        instance = execution.instance
-        stats.add("ndp.instructions", n * trace_len)
-        stats.add("ndp.uthreads_spawned", n)
-        stats.add("ndp.uthreads_finished", n)
-        ratio = min(per_unit, slots_per_unit) / slots_per_unit
-        for unit in units:
-            unit.occupancy.sampler.record(start, ratio)
-
-        if obs_tracer.ENABLED:
-            tracer = obs_tracer.tracer_of(device.sim)
-            span = tracer.record(
-                "exec.batched", start, completion, pid=device.trace_pid,
-                instance=instance.instance_id, uthreads=n,
-                trace_cache="hit" if cached else "miss")
-            if mem_done is not None:
-                tracer.record("mem.charge", start, mem_done, parent=span,
-                              pid=device.trace_pid, sectors=merged)
+        for start, ratio in samples:
+            for unit in units:
+                unit.occupancy.sampler.record(start, ratio)
+        stats.add("ndp.instructions", instructions)
+        stats.add("ndp.uthreads_spawned", uthreads)
+        stats.add("ndp.uthreads_finished", uthreads)
 
         def finish() -> None:
             now = device.sim.now
-            instance.instructions += n * trace_len
+            instance.instructions += instructions
             instance.uthreads_done = instance.uthreads_total
             for unit in units:
                 unit.occupancy.sampler.record(now, 0.0)

@@ -561,13 +561,18 @@ def _rec_branch(walk: _LaneWalk, inst, result, pre) -> bool:
     return True
 
 
+def _base_spec(taint, inst, vaddr: int):
+    """Address spec of ``x[rs1] + imm`` accessed at ``vaddr``."""
+    base = taint.x[inst.rs1]
+    return taint.addr_spec(
+        _lin_add(base, inst.imm) if _is_lin(base) else base, vaddr)
+
+
 def _rec_load(walk: _LaneWalk, inst, result, pre) -> bool:
     taint = walk.taint
     event = walk.mem.events[0]
     _, vaddr, size, raw = event
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    addr = _base_spec(taint, inst, vaddr)
     if addr is None:
         return False
     m = inst.mnemonic
@@ -585,9 +590,7 @@ def _rec_load(walk: _LaneWalk, inst, result, pre) -> bool:
 def _rec_store(walk: _LaneWalk, inst, result, pre) -> bool:
     taint = walk.taint
     _, vaddr, size, raw = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    addr = _base_spec(taint, inst, vaddr)
     if addr is None:
         return False
     m = inst.mnemonic
@@ -603,9 +606,7 @@ def _rec_store(walk: _LaneWalk, inst, result, pre) -> bool:
 def _rec_amo(walk: _LaneWalk, inst, result, pre) -> bool:
     taint = walk.taint
     _, vaddr, size, old, op, operand, is_float = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    addr = _base_spec(taint, inst, vaddr)
     if addr is None:
         return False
     if is_float:
@@ -665,9 +666,7 @@ def _rec_vload(walk: _LaneWalk, inst, result, pre) -> bool:
         taint.v[inst.rd] = _VCONST
         return True
     _, vaddr, size, raw = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    addr = _base_spec(taint, inst, vaddr)
     if addr is None:
         return False
     k = len(taint.loads)
@@ -682,9 +681,7 @@ def _rec_vstore(walk: _LaneWalk, inst, result, pre) -> bool:
     if not walk.mem.events:
         return True
     _, vaddr, size, raw = walk.mem.events[0]
-    addr = taint.addr_spec(_lin_add(taint.x[inst.rs1], inst.imm)
-                           if _is_lin(taint.x[inst.rs1])
-                           else taint.x[inst.rs1], vaddr)
+    addr = _base_spec(taint, inst, vaddr)
     if addr is None:
         return False
     vt = taint.v[inst.rd]
@@ -1025,7 +1022,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     tv = device.translation_version
 
     key = point_key(execution) if cache.enabled else None
-    family = cache.lookup_point(key, tv) if cache.enabled else None
+    family = cache.lookup(key, tv)
     identity = (instance.pool_base, instance.offset_bias, instance.args)
 
     t0 = max(now_ns, device.sim.now) + SPAWN_LATENCY_NS
@@ -1050,7 +1047,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
             except _PathMismatch:
                 pass
             except StaleTrace:
-                cache.invalidate_point(key)
+                cache.invalidate(key)
                 family = None
             else:
                 hits += 1
@@ -1068,7 +1065,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                 if entry is not None:
                     entry.exemplar = identity
                     cache.store_point(key, tv, entry)
-                    family = cache.lookup_point(key, tv)
+                    family = cache.lookup(key, tv)
         total_inst += lane_len
         # bulk issue pressure on the lane's sub-core (no per-inst servers)
         subcore = unit.subcores[0]
@@ -1080,9 +1077,6 @@ def attempt_point(backend, execution, now_ns: float) -> None:
                 server.service_batch(t0, count)
         lane_done.append(done_t)
 
-    stats.add("ndp.instructions", total_inst)
-    stats.add("ndp.uthreads_spawned", n)
-    stats.add("ndp.uthreads_finished", n)
     stats.add("exec.simt_launches")
     stats.add("exec.point_launches")
     if hits:
@@ -1093,11 +1087,6 @@ def attempt_point(backend, execution, now_ns: float) -> None:
     if misses:
         stats.add("exec.trace_cache_misses", misses)
 
-    slots = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
-    ratio = min((n + num_units - 1) // num_units, slots) / slots
-    for unit in exec_units:
-        unit.occupancy.sampler.record(t0, ratio)
-
     completion = max(lane_done) if lane_done else t0
     instance.lane_complete_ns = list(lane_done)
     if obs_tracer.ENABLED:
@@ -1106,15 +1095,7 @@ def attempt_point(backend, execution, now_ns: float) -> None:
             instance=instance.instance_id, lanes=n,
             cache_hits=hits, cache_misses=misses,
             generalized_hits=gen_hits)
-
-    def finish() -> None:
-        now = device.sim.now
-        instance.instructions += total_inst
-        instance.uthreads_done = instance.uthreads_total
-        for unit in exec_units:
-            unit.occupancy.sampler.record(now, 0.0)
-        execution.finish_now(now)
-
-    execution.consume_plan()
-    backend._active.append(execution)
-    device.sim.schedule_at(completion, finish)
+    slots = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
+    ratio = min((n + num_units - 1) // num_units, slots) / slots
+    backend.finish_launch(execution, completion, total_inst, n,
+                          [(t0, ratio)])

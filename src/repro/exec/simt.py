@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TranslationFault
+from repro.exec.trace_cache import SimtTraceEntry, StaleTrace
 from repro.isa import vectorops as vo
 from repro.isa.encoding import FUnit, Instruction, OpClass
 from repro.isa.registers import to_signed64
@@ -90,10 +91,6 @@ class LaunchFallback(Exception):
     def __init__(self, message: str, slug: str = "unsupported") -> None:
         super().__init__(message)
         self.slug = slug
-
-
-class _Done(Exception):
-    """Internal control-flow signal: every lane retired."""
 
 
 class Translator:
@@ -154,35 +151,69 @@ def step_sectors(paddrs: np.ndarray, size: int, sector_bytes: int) -> np.ndarray
     return np.unique(sectors) * sector_bytes
 
 
-def merge_streams(
-    streams: list[tuple[np.ndarray, bool]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Proportionally interleave the per-step sector streams.
+def sector_stream(
+    accesses: list[tuple[np.ndarray, int, bool]], sector_bytes: int,
+) -> tuple[np.ndarray, np.ndarray, int, list[int]]:
+    """A launch's timing stream from its global memory steps.
 
-    All µthreads progress through the trace roughly together (they are
-    spawned together and FGMT round-robins them), so at any instant the
-    launch's memory traffic mixes *every* step's stream — e.g. column
-    reads interleave with mask writes.  Merging each stream at its own
-    uniform rate reproduces that mix (and its DRAM bank behaviour)
-    instead of an artificially bank-friendly step-by-step sweep.
-    Returns (addresses, is_write) arrays ready for the bulk charge.
+    ``accesses`` holds ``(paddrs, size, is_write)`` per step.  Returns
+    the merged sector addresses and write flags ready for the bulk
+    charge, the number of distinct pages they touch, and each step's
+    unique sector count.
+
+    The per-step streams interleave proportionally.  All µthreads
+    progress through the trace roughly together (they are spawned
+    together and FGMT round-robins them), so at any instant the launch's
+    memory traffic mixes *every* step's stream — e.g. column reads
+    interleave with mask writes.  Merging each stream at its own uniform
+    rate reproduces that mix (and its DRAM bank behaviour) instead of an
+    artificially bank-friendly step-by-step sweep.
     """
+    streams = [step_sectors(paddrs, size, sector_bytes)
+               for paddrs, size, _ in accesses]
+    counts = [len(sectors) for sectors in streams]
     if not streams:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    if len(streams) == 1:
-        sectors, is_write = streams[0]
-        return (np.asarray(sectors, dtype=np.int64),
-                np.full(len(sectors), is_write, dtype=bool))
-    positions = np.concatenate([
-        (np.arange(len(sectors)) + 0.5) / max(len(sectors), 1)
-        for sectors, _ in streams
-    ])
-    addrs = np.concatenate([sectors for sectors, _ in streams])
-    writes = np.concatenate([
-        np.full(len(sectors), is_write) for sectors, is_write in streams
-    ])
-    order = np.argsort(positions, kind="stable")
-    return addrs[order].astype(np.int64), writes[order]
+        addrs, writes = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    elif len(streams) == 1:
+        addrs = np.asarray(streams[0], dtype=np.int64)
+        writes = np.full(counts[0], accesses[0][2], dtype=bool)
+    else:
+        positions = np.concatenate([(np.arange(count) + 0.5) / max(count, 1)
+                                    for count in counts])
+        order = np.argsort(positions, kind="stable")
+        addrs = np.concatenate(streams)[order].astype(np.int64)
+        writes = np.concatenate([np.full(count, is_write) for count, (
+            _, _, is_write) in zip(counts, accesses)])[order]
+    pages = int(np.unique(addrs >> np.int64(PAGE_SHIFT)).size
+                ) if addrs.size else 0
+    return addrs, writes, pages, counts
+
+
+def charge_stream(device, execution: KernelExecution, stream, n: int,
+                  start: float, window: float) -> tuple[float, float | None]:
+    """Pace a launch's merged sector stream through the real L2/DRAM.
+
+    ``stream`` carries ``merged_addrs``, ``merged_writes`` and
+    ``page_count`` (a trace entry or one phase profile); its sectors
+    arrive evenly over the ``window`` that opens at ``start``.  Returns
+    the completion time and the memory-done time (None when the stream
+    is empty).
+    """
+    completion = start + window
+    merged = stream.merged_addrs.size
+    if not merged:
+        return completion, None
+    # Every participating unit takes one on-chip TLB fill per page it
+    # touches; the pre-warmed DRAM-TLB serves them without DRAM traffic
+    # (§III-H), so only the stat is charged.
+    device.stats.add("ndp.tlb_fill",
+                     stream.page_count * min(execution.num_units, n))
+    dt = window / merged
+    mem_done = device.l2_dram_access_batch(
+        stream.merged_addrs, start + dt * np.arange(merged),
+        stream.merged_writes, partition=execution.partition,
+    )
+    return max(completion, mem_done), mem_done
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +248,7 @@ def x_read_counts(program) -> dict[int, int]:
         for reg in regs:
             if reg:
                 counts[reg] = counts.get(reg, 0) + 1
-    try:
-        program._x_read_counts = counts
-    except AttributeError:  # pragma: no cover - slotted program objects
-        pass
+    program._x_read_counts = counts
     return counts
 
 
@@ -284,10 +312,7 @@ def immediate_postdominators(program) -> list[int]:
             if size > best_size:
                 best, best_size = idx, size
         ipdom.append(best)
-    try:
-        program._simt_ipdom = ipdom
-    except AttributeError:  # pragma: no cover - slotted program objects
-        pass
+    program._simt_ipdom = ipdom
     return ipdom
 
 
@@ -486,23 +511,127 @@ class _StackEntry:
 
 
 class LaneOps:
-    """ALU, vector-ALU and reduction semantics over numpy lane arrays.
+    """Instruction semantics over numpy lane arrays.
 
     The launch-uniform walk (:mod:`repro.exec.batched`) and the masked
-    walk below both execute register-only instructions through these
-    methods, so the semantics exist once next to the scalar executor
+    walk below both execute every non-control instruction through
+    :meth:`_step`: ALU, vector-ALU and reduction semantics, and the
+    decode and byte packing of scalar and unit-stride vector loads and
+    stores, exist once next to the scalar executor
     (:mod:`repro.isa.executor`, the specification).  The code is
     shape-agnostic: register values may be 0-d (launch-uniform) or carry
     a leading lane axis, elements are indexed as ``[..., j]``, and every
     write goes through the subclass hooks ``_wx``/``_wf``/``_wv(idx,
     val, m)``, reads of vector registers through ``_read_v``, and the
     vector configuration through ``_cur_sew(m)``/``_eff_vl(m, sew)``.
-    ``m`` is the active-lane mask, or None when every lane is active.
+    ``m`` is the active-lane mask, or None when every lane is active;
+    ``mask`` is the walk's full boolean lane mask (None on the
+    launch-uniform walk).
+
+    Memory goes through four more hooks.  ``_access(inst, mask)`` turns
+    ``x[rs1] + imm`` into the walk's access handle; ``_load(acc, size)``
+    returns ``(..., size)`` uint8 rows and ``_store(acc, rows)`` takes
+    them; ``_narrow(acc, reg)`` picks a register's values for the
+    accessing lanes and ``_widen(acc, values)`` spreads per-access
+    results back to register shape.
     """
 
     xr: list[np.ndarray]
     fr: list[np.ndarray]
     vr: list[np.ndarray | None]
+
+    def _step(self, inst: Instruction, m: np.ndarray | None = None,
+              mask: np.ndarray | None = None) -> None:
+        """Execute one instruction other than a branch or ``ret``."""
+        op = inst.op_class
+        if op is OpClass.ALU:
+            self._exec_alu(inst, m)
+        elif op is OpClass.VALU_OP:
+            self._exec_valu(inst, m)
+        elif op is OpClass.LOAD:
+            self._exec_load(inst, m, mask)
+        elif op is OpClass.STORE:
+            self._exec_store(inst, m, mask)
+        elif op is OpClass.VLOAD:
+            self._exec_vload(inst, m, mask)
+        elif op is OpClass.VSTORE:
+            self._exec_vstore(inst, m, mask)
+        elif op is OpClass.VRED:
+            self._exec_vred(inst, m)
+        elif op is OpClass.VSET:
+            self._exec_vset(inst, m)
+        elif op is not OpClass.FENCE:
+            self._exec_other(inst, m, mask)
+
+    def _exec_other(self, inst: Instruction, m: np.ndarray | None,
+                    mask: np.ndarray | None) -> None:
+        raise LaunchFallback(f"unsupported op class {inst.op_class.value}")
+
+    def _branch_cond(self, inst: Instruction) -> np.ndarray:
+        """Per-lane outcome of a conditional branch."""
+        mn = inst.mnemonic
+        if mn in vo.BRANCHES:
+            return vo.BRANCHES[mn](self.xr[inst.rs1], self.xr[inst.rs2])
+        if mn in vo.BRANCHES_Z:
+            return vo.BRANCHES_Z[mn](self.xr[inst.rs1])
+        raise LaunchFallback(f"unsupported branch {mn}")
+
+    # -- memory decode -----------------------------------------------------
+
+    def _exec_load(self, inst: Instruction, m: np.ndarray | None = None,
+                   mask: np.ndarray | None = None) -> None:
+        acc = self._access(inst, mask)
+        mn = inst.mnemonic
+        if mn in vo.FP_LOADS:
+            size = vo.FP_LOADS[mn]
+            bits = vo.from_le_bytes(self._load(acc, size))
+            self._wf(inst.rd,
+                     self._widen(acc, vo.bits_to_float(bits, size * 8)), m)
+            return
+        size = vo.LOAD_SIGNED.get(mn) or vo.LOAD_UNSIGNED[mn]
+        value = vo.from_le_bytes(self._load(acc, size))
+        if mn in vo.LOAD_SIGNED:
+            value = vo.sign_extend(value, size * 8)
+        self._wx(inst.rd, self._widen(acc, value.astype(np.int64)), m)
+
+    def _exec_store(self, inst: Instruction, m: np.ndarray | None = None,
+                    mask: np.ndarray | None = None) -> None:
+        acc = self._access(inst, mask)
+        mn = inst.mnemonic
+        if mn in vo.FP_STORES:
+            size = vo.FP_STORES[mn]
+            bits = vo.float_to_bits(self._narrow(acc, self.fr[inst.rs2]),
+                                    size * 8)
+        else:
+            size = vo.STORES[mn]
+            bits = np.asarray(
+                self._narrow(acc, self.xr[inst.rs2])).astype(np.uint64)
+        self._store(acc, vo.to_le_bytes(bits, size))
+
+    def _exec_vload(self, inst: Instruction, m: np.ndarray | None = None,
+                    mask: np.ndarray | None = None) -> None:
+        vl = self._eff_vl(m, inst.size * 8)
+        if vl == 0:
+            self._wv(inst.rd, np.zeros((0,), dtype=np.uint64), m)
+            return
+        acc = self._access(inst, mask)
+        raw = self._load(acc, vl * inst.size)
+        elems = vo.from_le_bytes(raw.reshape(raw.shape[:-1] + (vl, inst.size)))
+        self._wv(inst.rd, self._widen(acc, elems), m)
+
+    def _exec_vstore(self, inst: Instruction, m: np.ndarray | None = None,
+                     mask: np.ndarray | None = None) -> None:
+        sew = inst.size * 8
+        vl = self._eff_vl(m, sew)
+        if vl == 0:
+            return
+        acc = self._access(inst, mask)
+        values = vo.to_pattern(
+            self._narrow(acc, self._read_v(inst.rd, vl)).astype(np.int64), sew)
+        raw = vo.to_le_bytes(values, inst.size)
+        self._store(acc, raw.reshape(raw.shape[:-2] + (vl * inst.size,)))
+
+    # -- register-only instructions -----------------------------------------
 
     def _exec_alu(self, inst: Instruction,
                   m: np.ndarray | None = None) -> None:
@@ -854,8 +983,6 @@ class _PhaseWalk(LaneOps):
     def _verify_step(self, op: str, size: int, lanes: np.ndarray,
                      vaddrs: np.ndarray, spad: np.ndarray | None,
                      amo_op: str | None, amo_float: bool) -> SimtStep:
-        from repro.exec.trace_cache import StaleTrace
-
         profile = self._verify
         if self._step_i >= len(profile.steps):
             raise StaleTrace("more memory steps than the cached trace")
@@ -991,9 +1118,23 @@ class _PhaseWalk(LaneOps):
             return None, np.empty(0, dtype=np.int64), np.arange(addrs.size)
         return (in_spad, np.nonzero(in_spad)[0], np.nonzero(~in_spad)[0])
 
-    def _load(self, lanes: np.ndarray, addrs: np.ndarray,
-              size: int) -> np.ndarray:
+    def _access(self, inst: Instruction,
+                mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(lanes, addrs)`` of the active lanes' ``x[rs1] + imm``."""
+        lanes = self._active(mask)
+        return lanes, self.xr[inst.rs1][lanes] + np.int64(inst.imm)
+
+    def _narrow(self, acc, reg: np.ndarray) -> np.ndarray:
+        return reg[acc[0]]
+
+    def _widen(self, acc, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
+        out[acc[0]] = values
+        return out
+
+    def _load(self, acc, size: int) -> np.ndarray:
         """Load ``size`` bytes per (lane, addr) element; (e, size) uint8."""
+        lanes, addrs = acc
         spad_field, s_sel, g_sel = self._route_spad(addrs)
         step, paddrs = self._record_step(
             "load", size, lanes, addrs, spad_field, addrs[g_sel])
@@ -1025,8 +1166,8 @@ class _PhaseWalk(LaneOps):
                     + frac * self._dram_lat)
         return out
 
-    def _store(self, lanes: np.ndarray, addrs: np.ndarray,
-               rows: np.ndarray) -> None:
+    def _store(self, acc, rows: np.ndarray) -> None:
+        lanes, addrs = acc
         size = rows.shape[-1]
         spad_field, s_sel, g_sel = self._route_spad(addrs)
         step, paddrs = self._record_step(
@@ -1236,8 +1377,6 @@ class _PhaseWalk(LaneOps):
     # -- main walk ---------------------------------------------------------
 
     def run(self) -> SimtPhaseProfile:
-        from repro.exec.trace_cache import StaleTrace
-
         instructions = self.program.instructions
         count = len(instructions)
         ipdom = immediate_postdominators(self.program)
@@ -1298,13 +1437,7 @@ class _PhaseWalk(LaneOps):
         if mnemonic == "j":
             top.next_pc = inst.target
             return
-        if mnemonic in vo.BRANCHES:
-            cond = vo.BRANCHES[mnemonic](self.xr[inst.rs1], self.xr[inst.rs2])
-        elif mnemonic in vo.BRANCHES_Z:
-            cond = vo.BRANCHES_Z[mnemonic](self.xr[inst.rs1])
-        else:
-            raise LaunchFallback(f"unsupported branch {mnemonic}")
-        taken = np.asarray(cond, dtype=bool) & mask
+        taken = np.asarray(self._branch_cond(inst), dtype=bool) & mask
         n_taken = int(taken.sum())
         if n_taken == int(mask.sum()):
             top.next_pc = inst.target
@@ -1319,82 +1452,30 @@ class _PhaseWalk(LaneOps):
         stack.append(_StackEntry(inst.target, reconv, taken))
         stack.append(_StackEntry(pc + 1, reconv, mask & ~taken))
 
-    def _step(self, inst: Instruction, m: np.ndarray | None,
-              mask: np.ndarray) -> None:
+    def _exec_other(self, inst: Instruction, m: np.ndarray | None,
+                    mask: np.ndarray) -> None:
         op = inst.op_class
-        if op is OpClass.ALU:
-            self._exec_alu(inst, m)
-        elif op is OpClass.VALU_OP:
-            self._exec_valu(inst, m)
-        elif op is OpClass.LOAD:
-            self._exec_load(inst, m, mask)
-        elif op is OpClass.STORE:
-            self._exec_store(inst, m, mask)
-        elif op is OpClass.AMO:
+        if op is OpClass.AMO:
             self._exec_amo(inst, m, mask)
-        elif op is OpClass.VLOAD:
-            self._exec_vload(inst, m, mask)
-        elif op is OpClass.VSTORE:
-            self._exec_vstore(inst, m, mask)
         elif op is OpClass.VGATHER:
             self._exec_vgather(inst, m, mask)
         elif op is OpClass.VSCATTER:
             self._exec_vscatter(inst, m, mask)
         elif op is OpClass.VAMO:
             self._exec_vamo(inst, m, mask)
-        elif op is OpClass.VRED:
-            self._exec_vred(inst, m)
-        elif op is OpClass.VSET:
-            self._exec_vset(inst, m)
-        elif op is OpClass.FENCE:
-            pass
         else:
-            raise LaunchFallback(f"unsupported op class {op.value}")
+            super()._exec_other(inst, m, mask)
 
-    # -- scalar memory -------------------------------------------------------
+    # -- atomics and indexed vector memory ------------------------------------
 
     def _active(self, mask: np.ndarray) -> np.ndarray:
         return np.nonzero(mask)[0]
 
-    def _exec_load(self, inst: Instruction, m: np.ndarray | None,
-                   mask: np.ndarray) -> None:
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        mn = inst.mnemonic
-        if mn in vo.FP_LOADS:
-            size = vo.FP_LOADS[mn]
-            bits = vo.from_le_bytes(self._load(lanes, addrs, size))
-            vals = np.zeros(self.n, dtype=np.float64)
-            vals[lanes] = vo.bits_to_float(bits, size * 8)
-            self._wf(inst.rd, vals, m)
-            return
-        size = vo.LOAD_SIGNED.get(mn) or vo.LOAD_UNSIGNED[mn]
-        value = vo.from_le_bytes(self._load(lanes, addrs, size))
-        out = np.zeros(self.n, dtype=np.int64)
-        if mn in vo.LOAD_SIGNED:
-            out[lanes] = vo.sign_extend(value, size * 8)
-        else:
-            out[lanes] = value.astype(np.int64)
-        self._wx(inst.rd, out, m)
-
-    def _exec_store(self, inst: Instruction, m: np.ndarray | None,
-                    mask: np.ndarray) -> None:
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        mn = inst.mnemonic
-        if mn in vo.FP_STORES:
-            size = vo.FP_STORES[mn]
-            bits = vo.float_to_bits(self.fr[inst.rs2][lanes], size * 8)
-        else:
-            size = vo.STORES[mn]
-            bits = self.xr[inst.rs2][lanes].astype(np.uint64)
-        self._store(lanes, addrs, vo.to_le_bytes(bits, size))
-
     def _exec_amo(self, inst: Instruction, m: np.ndarray | None,
                   mask: np.ndarray) -> None:
         op, size, is_float = vo.AMO_OPS[inst.mnemonic]
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
+        acc = self._access(inst, mask)
+        lanes, addrs = acc
         consumed = False
         if inst.rd:
             # under contention the returned old value depends on thread
@@ -1405,23 +1486,17 @@ class _PhaseWalk(LaneOps):
             self_reads = (inst.rs1 == inst.rd) + (inst.rs2 == inst.rd)
             consumed = reads - self_reads > 0
         if is_float:
-            operands = self.fr[inst.rs2][lanes]
+            operands = self._narrow(acc, self.fr[inst.rs2])
             olds = self._amo(lanes, addrs, operands, op, size, True,
                              consumed)
-            vals = np.zeros(self.n, dtype=np.float64)
-            vals[lanes] = olds
-            self._wf(inst.rd, vals, m)
+            self._wf(inst.rd, self._widen(acc, olds), m)
         else:
-            operands = self.xr[inst.rs2][lanes]
+            operands = self._narrow(acc, self.xr[inst.rs2])
             if size == 4:
                 operands = vo.sign_extend(vo.to_pattern(operands, 32), 32)
             olds = self._amo(lanes, addrs, operands, op, size, False,
                              consumed)
-            out = np.zeros(self.n, dtype=np.int64)
-            out[lanes] = olds
-            self._wx(inst.rd, out, m)
-
-    # -- vector ------------------------------------------------------------
+            self._wx(inst.rd, self._widen(acc, olds), m)
 
     def _exec_vset(self, inst: Instruction, m: np.ndarray | None) -> None:
         sew = inst.imm
@@ -1437,34 +1512,6 @@ class _PhaseWalk(LaneOps):
             self.vl = np.where(m, vl, self.vl)
             self.sew = np.where(m, np.int64(sew), self.sew)
         self._wx(inst.rd, vl, m)
-
-    def _exec_vload(self, inst: Instruction, m: np.ndarray | None,
-                    mask: np.ndarray) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(m, sew)
-        if vl == 0:
-            self._wv(inst.rd, np.zeros((self.n, 0), dtype=np.uint64), m)
-            return
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        raw = self._load(lanes, addrs, vl * inst.size)
-        elems = vo.from_le_bytes(raw.reshape(lanes.size, vl, inst.size))
-        out = self._read_v(inst.rd, vl).copy()
-        out[lanes] = elems
-        self._wv(inst.rd, out, m)
-
-    def _exec_vstore(self, inst: Instruction, m: np.ndarray | None,
-                     mask: np.ndarray) -> None:
-        sew = inst.size * 8
-        vl = self._eff_vl(m, sew)
-        if vl == 0:
-            return
-        lanes = self._active(mask)
-        addrs = self.xr[inst.rs1][lanes] + np.int64(inst.imm)
-        values = vo.to_pattern(
-            self._read_v(inst.rd, vl)[lanes].astype(np.int64), sew)
-        raw = vo.to_le_bytes(values, inst.size)
-        self._store(lanes, addrs, raw.reshape(lanes.size, vl * inst.size))
 
     def _flatten_indexed(self, inst: Instruction, mask: np.ndarray,
                          vl: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1485,8 +1532,7 @@ class _PhaseWalk(LaneOps):
             self._wv(inst.rd, np.zeros((self.n, 0), dtype=np.uint64), m)
             return
         lanes = self._active(mask)
-        flat_lanes, addrs = self._flatten_indexed(inst, mask, vl)
-        raw = self._load(flat_lanes, addrs, inst.size)
+        raw = self._load(self._flatten_indexed(inst, mask, vl), inst.size)
         elems = vo.from_le_bytes(raw).reshape(lanes.size, vl)
         out = self._read_v(inst.rd, vl).copy()
         out[lanes] = elems
@@ -1499,11 +1545,10 @@ class _PhaseWalk(LaneOps):
         if vl == 0:
             return
         lanes = self._active(mask)
-        flat_lanes, addrs = self._flatten_indexed(inst, mask, vl)
         values = vo.to_pattern(
             self._read_v(inst.rd, vl)[lanes].astype(np.int64), sew)
         rows = vo.to_le_bytes(values.reshape(-1), inst.size)
-        self._store(flat_lanes, addrs, rows)
+        self._store(self._flatten_indexed(inst, mask, vl), rows)
 
     def _exec_vamo(self, inst: Instruction, m: np.ndarray | None,
                    mask: np.ndarray) -> None:
@@ -1520,16 +1565,11 @@ class _PhaseWalk(LaneOps):
     # -- profile -----------------------------------------------------------
 
     def _build_profile(self) -> SimtPhaseProfile:
-        streams: list[tuple[np.ndarray, bool]] = []
-        for step in self._steps:
-            if step.paddrs is not None and step.paddrs.size:
-                sectors = step_sectors(step.paddrs, step.size,
-                                       self._sector_bytes)
-                streams.append((sectors, step.op in ("store", "amo")))
-        merged_addrs, merged_writes = merge_streams(streams)
-        page_count = int(np.unique(
-            merged_addrs >> np.int64(PAGE_SHIFT)).size
-        ) if merged_addrs.size else 0
+        merged_addrs, merged_writes, page_count, _ = sector_stream(
+            [(step.paddrs, step.size, step.op != "load")
+             for step in self._steps
+             if step.paddrs is not None and step.paddrs.size],
+            self._sector_bytes)
         return SimtPhaseProfile(
             kind=self.kind.value,
             n=self.n,
@@ -1566,20 +1606,27 @@ class SimtPlan:
     phase's buffered global stores commit at its barrier (with undo
     records), scratchpad effects accumulate on per-unit shadows, and a
     fallback or stale-trace abort anywhere rolls the whole launch back so
-    the interpreter re-executes it from pristine state.
+    the interpreter re-executes it from pristine state.  Built on a
+    cached :class:`SimtTraceEntry`, the plan replays it; after a fresh
+    walk ``entry`` holds the new recording.
     """
 
+    #: engine name in the ``exec.*`` launch and trace-cache counters
+    name = "simt"
+    entry_type = SimtTraceEntry
+
     def __init__(self, device, execution: KernelExecution,
-                 entry=None) -> None:
+                 entry: SimtTraceEntry | None = None) -> None:
         self.device = device
         self.execution = execution
         self.entry = entry
+        #: a replay is scheduled only once it verified, so it is a hit
+        self.cache_hit = entry is not None
         self.translator = Translator(
             device.page_table(execution.instance.asid))
         self.spad_shadows: dict[int, np.ndarray] = {}
         self.undo: list[tuple[np.ndarray, np.ndarray]] = []
         self.profiles: list[SimtPhaseProfile] = []
-        self._committed = False
 
     # -- scratchpad shadows ------------------------------------------------
 
@@ -1642,7 +1689,6 @@ class SimtPlan:
                     executed.append((kind, section, n, x1, x2, unit_of_lane))
             if (entry_profiles is not None
                     and len(entry_profiles) != len(executed)):
-                from repro.exec.trace_cache import StaleTrace
                 raise StaleTrace("phase count diverged from cached trace")
             for i, (kind, section, n, x1, x2, unit_of_lane) in enumerate(
                     executed):
@@ -1656,6 +1702,10 @@ class SimtPlan:
         except BaseException:
             self.rollback()
             raise
+        if self.entry is None:
+            self.entry = SimtTraceEntry(
+                translation_version=self.device.translation_version,
+                profiles=self.profiles)
         return self
 
     def _commit_stores(self, walk: _PhaseWalk) -> None:
@@ -1695,19 +1745,23 @@ class SimtPlan:
             if profile.atomics:
                 stats.add("ndp.global_atomics", profile.atomics)
         self.undo.clear()
-        self._committed = True
 
     # -- timing -------------------------------------------------------------
 
-    def schedule(self, now_ns: float) -> None:
-        """Charge the launch analytically and schedule its completion."""
+    def schedule(self, now_ns: float):
+        """Charge the launch analytically, phase after phase.
+
+        Returns ``(completion, instructions, µthreads, occupancy
+        samples)`` for the backend's shared launch tail.
+        """
         device = self.device
         cfg = device.config.ndp
         stats = device.stats
         period = cfg.clock.period_ns
-        num_units = self.execution.num_units
-        units = device.units[self.execution.unit_base:
-                             self.execution.unit_base + num_units]
+        execution = self.execution
+        num_units = execution.num_units
+        units = device.units[execution.unit_base:
+                             execution.unit_base + num_units]
         subcores = cfg.subcores_per_unit
         slots_per_unit = cfg.subcores_per_unit * cfg.uthread_slots_per_subcore
         granularity = units[0].occupancy.subcores[0].spawn_granularity
@@ -1715,10 +1769,10 @@ class SimtPlan:
             FUnit.SALU: cfg.scalar_alus_per_subcore,
             FUnit.VALU: cfg.vector_alus_per_subcore,
         }
-        execution = self.execution
         t = max(now_ns, device.sim.now)
         total_instructions = 0
         total_lanes = 0
+        samples = []
         tracer = None
         launch_span = None
         if obs_tracer.ENABLED:
@@ -1727,8 +1781,7 @@ class SimtPlan:
                 "exec.simt", t + SPAWN_LATENCY_NS, pid=device.trace_pid,
                 instance=execution.instance.instance_id,
                 phases=len(self.profiles),
-                trace_cache="hit" if getattr(self, "cache_hit", False)
-                else "miss")
+                trace_cache="hit" if self.cache_hit else "miss")
 
         for profile in self.profiles:
             start = t + SPAWN_LATENCY_NS
@@ -1764,15 +1817,12 @@ class SimtPlan:
                             subcore.units[fu].service_batch(start, f_ops)
                     sub_i += 1
 
-            # --- traffic + footprint stats -------------------------------
+            # --- traffic stats -------------------------------------------
             if profile.global_bytes:
                 stats.add("ndp.global_traffic_bytes", profile.global_bytes)
                 stats.add("ndp.global_accesses", profile.global_accesses)
             if profile.spad_bytes:
                 stats.add("ndp.spad_traffic_bytes", profile.spad_bytes)
-            if profile.merged_addrs.size:
-                stats.add("ndp.tlb_fill",
-                          profile.page_count * min(num_units, n))
 
             # --- latency floor: per-unit chunked-wave model --------------
             lat = profile.lat_cycles * period + profile.mem_lat
@@ -1781,17 +1831,8 @@ class SimtPlan:
             window = max(compute_ns, floor, period)
 
             # --- memory-system bound: sector stream through L2/DRAM ------
-            completion = start + window
-            merged = profile.merged_addrs.size
-            mem_done = None
-            if merged:
-                dt = window / merged
-                arrivals = start + dt * np.arange(merged)
-                mem_done = device.l2_dram_access_batch(
-                    profile.merged_addrs, arrivals, profile.merged_writes,
-                    partition=execution.partition,
-                )
-                completion = max(completion, mem_done)
+            completion, mem_done = charge_stream(
+                device, execution, profile, n, start, window)
 
             if tracer is not None:
                 phase_span = tracer.record(
@@ -1800,33 +1841,17 @@ class SimtPlan:
                 if mem_done is not None:
                     tracer.record("mem.charge", start, mem_done,
                                   parent=phase_span, pid=device.trace_pid,
-                                  sectors=merged)
+                                  sectors=profile.merged_addrs.size)
 
             ratio = min(int(profile.unit_of_lane.size and np.bincount(
                 profile.unit_of_lane, minlength=num_units).max()),
                 slots_per_unit) / slots_per_unit
-            for unit in units:
-                unit.occupancy.sampler.record(start, ratio)
+            samples.append((start, ratio))
             t = completion
 
         if tracer is not None:
             tracer.end(launch_span, t)
-        stats.add("ndp.instructions", total_instructions)
-        stats.add("ndp.uthreads_spawned", total_lanes)
-        stats.add("ndp.uthreads_finished", total_lanes)
-
-        instance = execution.instance
-        done_instructions = total_instructions
-
-        def finish() -> None:
-            now = device.sim.now
-            instance.instructions += done_instructions
-            instance.uthreads_done = instance.uthreads_total
-            for unit in units:
-                unit.occupancy.sampler.record(now, 0.0)
-            execution.finish_now(now)
-
-        device.sim.schedule_at(t, finish)
+        return t, total_instructions, total_lanes, samples
 
 
 def _latency_floor(lat: np.ndarray, unit_of_lane: np.ndarray,

@@ -80,10 +80,7 @@ def kernel_code_hash(program) -> int:
          inst.target, inst.size)
         for inst in program.instructions
     ))
-    try:
-        program._trace_code_hash = digest
-    except AttributeError:  # pragma: no cover - slotted program objects
-        pass
+    program._trace_code_hash = digest
     return digest
 
 
@@ -298,7 +295,8 @@ class SimtTraceEntry:
 
 
 class TraceCache:
-    """Per-device LRU cache of :class:`TraceEntry` keyed by launch shape."""
+    """Per-device LRU cache of trace entries and point families keyed by
+    launch shape."""
 
     def __init__(self, enabled: bool, capacity: int) -> None:
         self.enabled = enabled
@@ -308,7 +306,7 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: tuple, translation_version: int) -> TraceEntry | None:
+    def lookup(self, key: tuple, translation_version: int):
         """Return a fresh entry or None; stale entries are dropped here."""
         if not self.enabled:
             return None
@@ -336,22 +334,8 @@ class TraceCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    # -- point-launch path families -----------------------------------
-
-    def lookup_point(self, key: tuple,
-                     translation_version: int) -> PointFamily | None:
-        """Fresh path-trie family for a structural point key, or None."""
-        if not self.enabled:
-            return None
-        family = self._entries.get(key)
-        if not isinstance(family, PointFamily):
-            return None
-        if family.translation_version != translation_version:
-            # memory layout changed under the recorded paths: invalidate
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
-        return family
+    # -- point-launch path families (``lookup``/``invalidate`` serve them
+    # too: a structural point key only ever holds a PointFamily) -------
 
     def store_point(self, key: tuple, translation_version: int,
                     entry: PointPathEntry) -> None:
@@ -369,9 +353,3 @@ class TraceCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-
-    def invalidate_point(self, key: tuple) -> None:
-        """Drop a whole family (stale verified bytes somewhere in it)."""
-        family = self._entries.get(key)
-        if isinstance(family, PointFamily):
-            del self._entries[key]
