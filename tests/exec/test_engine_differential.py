@@ -376,9 +376,9 @@ def _store_kernel(mn: str) -> str:
     fp = mn in vo.FP_STORES
     reg = "f4" if fp else "x6"
     lines = []
+    load = "fld " if fp else "ld  "
     for i, off in enumerate((0, 11, 24, 37, 64, 101, 248)):
-        lines.append(f"fld  f4, {8 * i}(x1)" if fp else f"ld   x6, {8 * i}(x1)")
-        lines.append(f"{mn} {reg}, {off}(x20)")
+        lines += [f"{load} {reg}, {8 * i}(x1)", f"{mn} {reg}, {off}(x20)"]
     if not fp:
         lines.append(f"{mn} x0, 128(x20)")
     return _body(lines)
@@ -485,8 +485,10 @@ def _branch_kernel(mn: str, lane_operands: bool) -> str:
 
 
 def _has_variants(mn: str) -> bool:
-    return OpClass.VSET is OPCODES[mn].op_class or (
-        OPCODES[mn].op_class is OpClass.BRANCH and mn != "j")
+    """Branches and vsetvli read launch-uniform operands on the uniform
+    engine and per-µthread operands elsewhere."""
+    op = OPCODES[mn].op_class
+    return op is OpClass.VSET or (op is OpClass.BRANCH and mn != "j")
 
 
 def memory_control_kernel(mn: str, lane_operands: bool) -> str:
