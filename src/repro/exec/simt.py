@@ -47,7 +47,6 @@ L2/DRAM servers via the bulk charge APIs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

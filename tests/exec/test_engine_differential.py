@@ -21,7 +21,6 @@ import pytest
 from repro.host.api import pack_args
 from repro.isa import vectorops as vo
 from repro.isa.encoding import OPCODES, OpClass
-from repro.isa.vector import vlmax
 from repro.workloads.base import make_platform
 
 #: Pool and output bytes per µthread.
